@@ -28,9 +28,12 @@ def main():
         print("=" * 72)
         print(" ".join(tokens))
         lattice = pipeline.lattice_for(tokens)
-        for order in ("as-written", "selective-first"):
+        for order, rules in (
+            ("as-written", pipeline.rules),
+            ("reversed", tuple(reversed(pipeline.rules))),
+        ):
             t0 = time.perf_counter()
-            survived, trace = apply_grammar(lattice, pipeline.rules, order=order)
+            survived, trace = apply_grammar(lattice, rules)
             elapsed = time.perf_counter() - t0
             effective = [s for s in trace.steps if s.after < s.before]
             print(

@@ -13,6 +13,7 @@ symbol id, so structurally identical inputs produce identical automata.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 
 class AutomataError(Exception):
@@ -110,6 +111,17 @@ class Alphabet:
 
     def texts_of(self, ids):
         return tuple(self._texts[i] for i in ids)
+
+    def extended(self, text):
+        """A copy with `text` interned as well.  Every existing symbol keeps
+        its id and every class its members, so labels carry over unchanged;
+        this alphabet is left as it is."""
+        copy = Alphabet.__new__(Alphabet)
+        copy._ids = dict(self._ids)
+        copy._texts = list(self._texts)
+        copy.classes = dict(self.classes)
+        copy.intern(text)
+        return copy
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +419,51 @@ def _partition(labels):
     return blocks, label_blocks
 
 
+def _min_symbol(edge):
+    return min(edge[0])
+
+
+def _canonical(alphabet, start, expand):
+    """The one place DFA states get their numbers.
+
+    Explores the keys reachable from `start`; `expand(key)` returns
+    `(is_final, edges)` with `edges` a list of `(label, target_key)` pairs
+    whose labels are non-empty and pairwise disjoint.  Keys are numbered in
+    breadth-first discovery order from 0 and each state's edges are sorted
+    by smallest symbol, so equal languages built from equal keys come out
+    as identical automata.
+    """
+    index = {start: 0}
+    order = [start]
+    out = []
+    finals = []
+    for key in order:  # `order` grows while it is walked: that is the queue
+        final, edges = expand(key)
+        if final:
+            finals.append(len(out))
+        edges.sort(key=_min_symbol)
+        resolved = []
+        for label, target in edges:
+            j = index.get(target)
+            if j is None:
+                j = index[target] = len(order)
+                order.append(target)
+            resolved.append((label, j))
+        out.append(tuple(resolved))
+    return Dfa(alphabet, out, finals)
+
+
+def _merge_by_class(edges, cls):
+    """`edges` with each target replaced by its class `cls[target]` and the
+    labels of edges into the same class merged."""
+    merged = {}
+    for label, dst in edges:
+        c = cls[dst]
+        got = merged.get(c)
+        merged[c] = label if got is None else got | label
+    return [(label, c) for c, label in merged.items()]
+
+
 def determinize(nfa):
     """Subset construction; the result is deterministic, epsilon-free and
     trimmed to states reachable from the start."""
@@ -434,16 +491,7 @@ def determinize(nfa):
                     stack.append(dst)
         return frozenset(seen)
 
-    start = closure((nfa.start,))
-    index = {start: 0}
-    order = [start]
-    out = []
-    finals = set()
-    i = 0
-    while i < len(order):
-        subset = order[i]
-        if subset & nfa.finals:
-            finals.add(i)
+    def expand(subset):
         moves = {}
         for state in subset:
             for label, dst in sym_edges[state]:
@@ -452,22 +500,13 @@ def determinize(nfa):
         grouped = {}
         for b in sorted(moves):
             grouped.setdefault(closure(moves[b]), []).append(b)
-        edges = []
-        for target, bs in grouped.items():
-            label = frozenset().union(*(blocks[b] for b in bs))
-            edges.append((label, target))
-        edges.sort(key=lambda e: min(e[0]))
-        resolved = []
-        for label, target in edges:
-            j = index.get(target)
-            if j is None:
-                j = len(order)
-                index[target] = j
-                order.append(target)
-            resolved.append((label, j))
-        out.append(tuple(resolved))
-        i += 1
-    return Dfa(nfa.alphabet, out, finals)
+        edges = [
+            (frozenset().union(*(blocks[b] for b in bs)), target)
+            for target, bs in grouped.items()
+        ]
+        return not subset.isdisjoint(nfa.finals), edges
+
+    return _canonical(nfa.alphabet, closure((nfa.start,)), expand)
 
 
 def _reachable(dfa):
@@ -505,29 +544,17 @@ def trim(dfa):
     useful = _reachable(dfa) & _coreachable(dfa)
     if 0 not in useful:
         return empty_dfa(dfa.alphabet)
-    renum = {0: 0}
-    order = [0]
-    out = []
-    i = 0
-    while i < len(order):
-        state = order[i]
+    transitions = dfa.transitions
+    finals = dfa.finals
+
+    def expand(state):
         edges = []
-        for label, dst in dfa.transitions[state]:
+        for label, dst in transitions[state]:
             if dst in useful:
                 edges.append((label, dst))
-        edges.sort(key=lambda e: min(e[0]))
-        resolved = []
-        for label, dst in edges:
-            j = renum.get(dst)
-            if j is None:
-                j = len(order)
-                renum[dst] = j
-                order.append(dst)
-            resolved.append((label, j))
-        out.append(tuple(resolved))
-        i += 1
-    finals = frozenset(renum[s] for s in dfa.finals if s in useful)
-    return Dfa(dfa.alphabet, out, finals)
+        return state in finals, edges
+
+    return _canonical(dfa.alphabet, 0, expand)
 
 
 def minimize(dfa):
@@ -567,34 +594,18 @@ def minimize(dfa):
         if len(sigs) == ncls:
             break
         ncls = len(sigs)
-    ncls = len(set(cls))
 
+    # equivalent states have equal merged edges, so any member stands for
+    # its class; the quotient of a trim DFA is trim
     reps = {}
     for s in range(d.n_states):
         reps.setdefault(cls[s], s)
-    merged = []
-    for c in range(ncls):
+
+    def expand(c):
         rep = reps[c]
-        by_target = {}
-        for label, dst in d.transitions[rep]:
-            key = cls[dst]
-            by_target[key] = by_target.get(key, frozenset()) | label
-        edges = [(label, t) for t, label in by_target.items()]
-        edges.sort(key=lambda e: min(e[0]))
-        merged.append(tuple(edges))
-    finals = frozenset(cls[s] for s in d.finals)
-    out = Dfa(d.alphabet, merged, finals)
-    # renumber from the merged start class
-    start_cls = cls[0]
-    if start_cls != 0:
-        perm = list(range(len(merged)))
-        perm[0], perm[start_cls] = perm[start_cls], perm[0]
-        remap = {old: new for new, old in enumerate(perm)}
-        re_edges = [None] * len(merged)
-        for old, edges in enumerate(merged):
-            re_edges[remap[old]] = tuple((label, remap[dst]) for label, dst in edges)
-        out = Dfa(d.alphabet, re_edges, frozenset(remap[s] for s in finals))
-    return trim(out)
+        return rep in d.finals, _merge_by_class(d.transitions[rep], cls)
+
+    return _canonical(d.alphabet, cls[0], expand)
 
 
 def reduce_acyclic(dfa):
@@ -622,50 +633,17 @@ def reduce_acyclic(dfa):
         return minimize(dfa)
     cls = [0] * n
     signatures = {}
+    classes = []  # (is_final, merged edges) of each class, by class id
     for state in reversed(order):
-        by_target = {}
-        for label, dst in d.transitions[state]:
-            key = cls[dst]
-            got = by_target.get(key)
-            by_target[key] = label if got is None else got | label
-        sig = (state in d.finals, frozenset(by_target.items()))
+        final = state in d.finals
+        edges = _merge_by_class(d.transitions[state], cls)
+        sig = (final, frozenset(edges))
         idx = signatures.get(sig)
         if idx is None:
-            idx = len(signatures)
-            signatures[sig] = idx
+            idx = signatures[sig] = len(classes)
+            classes.append((final, edges))
         cls[state] = idx
-    # rebuild one state per class, renumbered in BFS order from the start
-    rep_edges = {}
-    for state in range(n):
-        c = cls[state]
-        if c not in rep_edges:
-            by_target = {}
-            for label, dst in d.transitions[state]:
-                key = cls[dst]
-                got = by_target.get(key)
-                by_target[key] = label if got is None else got | label
-            edges = [(label, t) for t, label in by_target.items()]
-            edges.sort(key=lambda e: min(e[0]))
-            rep_edges[c] = edges
-    final_classes = frozenset(cls[s] for s in d.finals)
-    renum = {cls[0]: 0}
-    order2 = [cls[0]]
-    out = []
-    i = 0
-    while i < len(order2):
-        c = order2[i]
-        resolved = []
-        for label, t in rep_edges[c]:
-            j = renum.get(t)
-            if j is None:
-                j = len(order2)
-                renum[t] = j
-                order2.append(t)
-            resolved.append((label, j))
-        out.append(tuple(resolved))
-        i += 1
-    finals = frozenset(renum[c] for c in final_classes)
-    return Dfa(d.alphabet, out, finals)
+    return _canonical(d.alphabet, cls[0], classes.__getitem__)
 
 
 def complement(dfa, alphabet):
@@ -684,8 +662,7 @@ def complement(dfa, alphabet):
         if rest:
             new_edges.append((rest, sink))
             need_sink = True
-        new_edges.sort(key=lambda e: min(e[0]))
-        out.append(tuple(new_edges))
+        out.append(new_edges)
     states = n
     if need_sink:
         out.append(((sigma, sink),))
@@ -698,15 +675,9 @@ def intersect(a, b):
     """Product construction; accepts L(a) & L(b), trimmed to useful states."""
     if a.alphabet is not b.alphabet:
         raise AlphabetMismatchError("intersect requires a shared alphabet")
-    index = {(0, 0): 0}
-    order = [(0, 0)]
-    out = []
-    finals = set()
-    i = 0
-    while i < len(order):
-        sa, sb = order[i]
-        if sa in a.finals and sb in b.finals:
-            finals.add(i)
+
+    def expand(pair):
+        sa, sb = pair
         by_target = {}
         b_edges = b.transitions[sb]
         b_index = b._index[sb]
@@ -728,19 +699,10 @@ def intersect(a, b):
                         key = (da, db)
                         got = by_target.get(key)
                         by_target[key] = inter if got is None else got | inter
-        edges = [(label, t) for t, label in by_target.items()]
-        edges.sort(key=lambda e: min(e[0]))
-        resolved = []
-        for label, target in edges:
-            j = index.get(target)
-            if j is None:
-                j = len(order)
-                index[target] = j
-                order.append(target)
-            resolved.append((label, j))
-        out.append(tuple(resolved))
-        i += 1
-    return trim(Dfa(a.alphabet, out, finals))
+        final = sa in a.finals and sb in b.finals
+        return final, [(label, t) for t, label in by_target.items()]
+
+    return trim(_canonical(a.alphabet, (0, 0), expand))
 
 
 def is_empty(dfa):
@@ -806,48 +768,57 @@ def enumerate_strings(dfa, limit):
     if not d.finals:
         return []
     expanded = []
-    for edges in d.transitions:
+    preds = [set() for _ in range(d.n_states)]
+    for src, edges in enumerate(d.transitions):
         pairs = []
         for label, dst in edges:
             pairs.extend((sym, dst) for sym in label)
+            if label:
+                preds[dst].add(src)
         pairs.sort()
         expanded.append(tuple(pairs))
 
-    finals = d.finals
-    counts = [[1 if s in finals else 0 for s in range(d.n_states)]]
+    # live[n]: the states with an accepted continuation of exactly n symbols
+    live = [d.finals]
     out = []
-
-    def emit(state, length, prefix):
-        if len(out) >= limit:
-            return
-        if length == 0:
-            out.append(tuple(prefix))
-            return
-        row = counts[length - 1]
-        for sym, dst in expanded[state]:
-            if row[dst]:
-                prefix.append(sym)
-                emit(dst, length - 1, prefix)
-                prefix.pop()
-                if len(out) >= limit:
-                    return
-
-    length = 0
     while len(out) < limit:
-        if counts[length][0]:
-            emit(0, length, [])
-        nxt = [0] * d.n_states
-        row = counts[length]
-        for s in range(d.n_states):
-            total = 0
-            for label, dst in d.transitions[s]:
-                total += len(label) * row[dst]
-            nxt[s] = total
-        if not any(nxt):
+        length = len(live) - 1
+        if 0 in live[length]:
+            out.extend(islice(_strings_of_length(expanded, live, length), limit - len(out)))
+        longer = set()
+        for dst in live[length]:
+            longer |= preds[dst]
+        if not longer:
             break
-        counts.append(nxt)
-        length += 1
-    return out[:limit]
+        live.append(longer)
+    return out
+
+
+def _strings_of_length(expanded, live, length):
+    """The accepted strings of exactly `length` symbols in lexicographic
+    order, by a depth-first walk with an explicit stack (a long sentence's
+    path is longer than Python's recursion limit).  Only edges into `live`
+    states are taken, so every branch ends in a string."""
+    if length == 0:
+        yield ()
+        return
+    prefix = []
+    stack = [iter(expanded[0])]
+    while stack:
+        targets = live[length - len(stack)]
+        for sym, dst in stack[-1]:
+            if dst in targets:
+                prefix.append(sym)
+                if len(prefix) == length:
+                    yield tuple(prefix)
+                    prefix.pop()
+                else:
+                    stack.append(iter(expanded[dst]))
+                    break
+        else:
+            stack.pop()
+            if prefix:
+                prefix.pop()
 
 
 def language_equal(a, b):

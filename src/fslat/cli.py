@@ -1,8 +1,8 @@
 """Command-line front end.
 
     fslat <command> --lexicon PATH --map PATH --grammar PATH
-          [--limit N] [--format table|records] [--order as-written|selective]
-          [--unknown open|closed] [--jobs N] [INPUT...]
+          [--limit N] [--format table|records] [--unknown open|closed]
+          [--jobs N] [INPUT...]
 
 Commands: parse, count, trace, check-grammar.  Input files (or stdin) are
 tokenized, split into sentences at . ? ! and processed one sentence at a
@@ -35,10 +35,11 @@ from .engine import Pipeline, apply_grammar, reading_count
 from .grammar import GrammarError, parse_grammar
 from .lattice import PUNCT_TAG, default_registry, parse_syntactic_map, MapError
 from .lexicon import (
+    Lexicon,
     LexiconError,
-    SENTENCE_END,
     UnknownWordError,
     parse_lexicon,
+    split_sentences,
     tokenize,
 )
 
@@ -57,7 +58,6 @@ class RunConfig:
     inputs: tuple = ()
     limit: int = 16
     format: str = "table"
-    order: str = "as-written"
     unknown: str = "open"
     jobs: int = 1
 
@@ -75,9 +75,6 @@ def _build_argparser():
         p.add_argument("--grammar")
         p.add_argument("--limit", type=int, default=16)
         p.add_argument("--format", choices=("table", "records"), default="table")
-        p.add_argument(
-            "--order", choices=("as-written", "selective"), default="as-written"
-        )
         p.add_argument("--unknown", choices=("open", "closed"), default="open")
         p.add_argument("--jobs", type=int, default=1)
         p.add_argument("inputs", nargs="*", metavar="INPUT")
@@ -95,7 +92,6 @@ def parse_args(argv):
         inputs=tuple(ns.inputs),
         limit=ns.limit,
         format=ns.format,
-        order="selective-first" if ns.order == "selective" else ns.order,
         unknown=ns.unknown,
         jobs=max(1, ns.jobs),
     )
@@ -150,28 +146,17 @@ def _load_pipeline(config, err):
     return pipeline, EXIT_OK
 
 
-def iter_sentences(lines):
-    """Incremental tokenization: yields one token list per sentence."""
-    current = []
-    for line in lines:
-        for token in tokenize(line):
-            current.append(token)
-            if token in SENTENCE_END:
-                yield current
-                current = []
-    if current:
-        yield current
-
-
-def _input_lines(config, err):
+def _input_tokens(config, err):
+    """Tokens of the input files, or of stdin read one line at a time."""
     if not config.inputs:
-        yield from sys.stdin
+        for line in sys.stdin:
+            yield from tokenize(line)
         return
     for path in config.inputs:
         text = _read(path, err)
         if text is None:
             raise FileNotFoundError(path)
-        yield from text.splitlines()
+        yield from tokenize(text)
 
 
 # ---------------------------------------------------------------------------
@@ -261,12 +246,10 @@ def run_parse(config, out=None, err=None):
     first = True
 
     def worker(tokens):
-        return tokens, pipeline.parse_sentence(
-            tokens, order=config.order, limit=config.limit
-        )
+        return tokens, pipeline.parse_sentence(tokens, limit=config.limit)
 
     try:
-        sentences = iter_sentences(_input_lines(config, err))
+        sentences = split_sentences(_input_tokens(config, err))
         for tokens, result in _map_sentences(pipeline, config, sentences, worker):
             index += 1
             if result.status == "empty":
@@ -311,12 +294,12 @@ def run_count(config, out=None, err=None):
             morph *= readings
         with_boundaries = morph * 4 ** lattice.boundary_slots
         with_syntax = reading_count(lattice)
-        survived, _ = apply_grammar(lattice, pipeline.rules, order=config.order)
+        survived, _ = apply_grammar(lattice, pipeline.rules)
         return morph, with_boundaries, with_syntax, reading_count(survived)
 
     index = 0
     try:
-        sentences = iter_sentences(_input_lines(config, err))
+        sentences = split_sentences(_input_tokens(config, err))
         for morph, with_b, with_s, after in _map_sentences(
             pipeline, config, sentences, worker
         ):
@@ -342,12 +325,12 @@ def run_trace(config, out=None, err=None):
 
     def worker(tokens):
         lattice = pipeline.lattice_for(tokens)
-        _, trace = apply_grammar(lattice, pipeline.rules, order=config.order)
+        _, trace = apply_grammar(lattice, pipeline.rules)
         return tokens, trace
 
     index = 0
     try:
-        sentences = iter_sentences(_input_lines(config, err))
+        sentences = split_sentences(_input_tokens(config, err))
         for tokens, trace in _map_sentences(pipeline, config, sentences, worker):
             index += 1
             print(f"# sentence {index}: {' '.join(tokens)}", file=out)
@@ -388,9 +371,7 @@ def run_check_grammar(config, out=None, err=None):
             return EXIT_USAGE
     try:
         grammar = parse_grammar(text)
-        pipeline = Pipeline.build(
-            lexicon or _EMPTY_LEXICON, None, grammar, registry
-        )
+        pipeline = Pipeline.build(lexicon or Lexicon({}), None, grammar, registry)
     except GrammarError as exc:
         print(f"fslat: grammar error: {exc}", file=err)
         return EXIT_GRAMMAR
@@ -409,14 +390,6 @@ def run_check_grammar(config, out=None, err=None):
         print(f"{rule.name}\t{dfa.n_states} states\t{dfa.n_edges} edges{suffix}", file=out)
     print(f"flagged: {flagged}", file=out)
     return EXIT_OK
-
-
-class _EmptyLexicon:
-    entries = {}
-    policy = "open"
-
-
-_EMPTY_LEXICON = _EmptyLexicon()
 
 
 def main(argv=None):

@@ -97,27 +97,19 @@ class ParseResult:
     diagnosis: tuple  # rule names, only when status == "empty"
 
 
-def apply_grammar(lattice, rules, order="as-written", minimize_between=None):
-    """Intersect the lattice with every rule, trimming after each step.
-
-    `order` is "as-written" or "selective-first" (cheap selectivity
-    estimate on a sampled sub-lattice; the surviving set is order
-    independent either way).  Returns the surviving lattice and a trace of
-    per-rule reading counts and timings.
+def apply_grammar(lattice, rules):
+    """Intersect the lattice with every rule, in the given order.  Returns
+    the surviving lattice and a trace of per-rule reading counts and
+    timings; the surviving set does not depend on the order.
 
     Every intermediate result is reduced by the linear-time acyclic
     suffix merge (products would otherwise compound across rules); the
-    full Moore minimization additionally runs when `minimize_between` is
-    set, or by default once an intermediate crosses MINIMIZE_THRESHOLD
-    states.
+    full Moore minimization additionally runs once an intermediate crosses
+    MINIMIZE_THRESHOLD states.
     """
     for rule in rules:
         if rule.automaton.alphabet is not lattice.automaton.alphabet:
             raise RuleAlphabetError(rule.name)
-    if order == "selective-first":
-        rules = _selectivity_order(lattice, rules)
-    elif order != "as-written":
-        raise ValueError(f"unknown application order {order!r}")
 
     current = lattice.automaton
     before = count_paths(current)
@@ -125,30 +117,13 @@ def apply_grammar(lattice, rules, order="as-written", minimize_between=None):
     for rule in rules:
         t0 = time.perf_counter()
         current = reduce_acyclic(intersect(current, rule.automaton))
-        if minimize_between or (
-            minimize_between is None and current.n_states > MINIMIZE_THRESHOLD
-        ):
+        if current.n_states > MINIMIZE_THRESHOLD:
             current = minimize(current)
         after = count_paths(current)
         micros = int((time.perf_counter() - t0) * 1_000_000)
         steps.append(TraceStep(rule.name, before, after, micros))
         before = after
     return lattice.with_automaton(current), TraceReport(tuple(steps), before)
-
-
-def _selectivity_order(lattice, rules):
-    """Order rules by how few readings they leave on a small prefix
-    sub-lattice (most selective first); ties keep grammar order."""
-    sample_cohorts = lattice.cohorts[: min(3, len(lattice.cohorts))]
-    sample = build_lattice(
-        sample_cohorts, lattice.registry, lattice.automaton.alphabet
-    )
-    scored = []
-    for position, rule in enumerate(rules):
-        survivors = count_paths(intersect(sample.automaton, rule.automaton))
-        scored.append((survivors, position, rule))
-    scored.sort(key=lambda item: (item[0], item[1]))
-    return tuple(rule for _, _, rule in scored)
 
 
 def diagnose_empty(lattice, rules):
@@ -297,10 +272,10 @@ class Pipeline:
     def lattice_for(self, tokens):
         return build_lattice(self.cohorts_for(tokens), self.registry, self.alphabet)
 
-    def parse_sentence(self, tokens, order="as-written", limit=16):
+    def parse_sentence(self, tokens, limit=16):
         """lookup -> map -> lattice -> grammar -> decode."""
         lattice = self.lattice_for(tokens)
-        survived, trace = apply_grammar(lattice, self.rules, order=order)
+        survived, trace = apply_grammar(lattice, self.rules)
         if is_empty(survived.automaton):
             diagnosis = diagnose_empty(lattice, self.rules)
             return ParseResult(survived, (), trace, "empty", diagnosis)

@@ -45,7 +45,6 @@ from .automata import (
     nullable,
     resolve_pattern,
 )
-from . import automata
 
 
 class GrammarError(Exception):
@@ -613,7 +612,7 @@ def compile_rule(rule, alphabet, clb_texts=DEFAULT_CLB):
             f"rule {rule.name!r}: target denotes the empty language", rule.line
         )
 
-    scratch = Alphabet_copy_with(alphabet, _MARK)
+    scratch = alphabet.extended(_MARK)
     mark = scratch.id_of(_MARK)
     base_star = Star(OneOf(frozenset((_MARK,)), negated=True))  # marker-free sigma*
     mark_lit = Syms(frozenset((mark,)))
@@ -630,17 +629,6 @@ def compile_rule(rule, alphabet, clb_texts=DEFAULT_CLB):
     violating = Dfa(alphabet, violating.transitions, violating.finals)
     dfa = complement(violating, alphabet)
     return CompiledRule(rule.name, minimize(dfa))
-
-
-def Alphabet_copy_with(alphabet, extra_text):
-    """A scratch alphabet sharing the original's id assignment plus one
-    reserved symbol; labels carry over unchanged."""
-    scratch = automata.Alphabet.__new__(automata.Alphabet)
-    scratch._ids = dict(alphabet._ids)
-    scratch._texts = list(alphabet._texts)
-    scratch.classes = dict(alphabet.classes)
-    scratch.intern(extra_text)
-    return scratch
 
 
 def _any_star(alphabet):

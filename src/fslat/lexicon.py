@@ -268,18 +268,17 @@ def tokenize(text):
 
 
 def split_sentences(tokens):
-    """Group a token stream into sentences delimited by . ? ! tokens; a
-    trailing fragment without a terminator is kept as a sentence."""
-    sentences = []
+    """Group a token iterable into sentences delimited by . ? ! tokens,
+    yielding each as soon as its terminator is read; a trailing fragment
+    without a terminator is kept as a sentence."""
     current = []
     for token in tokens:
         current.append(token)
         if token in SENTENCE_END:
-            sentences.append(current)
+            yield current
             current = []
     if current:
-        sentences.append(current)
-    return sentences
+        yield current
 
 
 def lookup(lexicon, token):

@@ -7,8 +7,10 @@ from fslat.automata import (
     Alphabet,
     Alt,
     ClassRef,
+    Dfa,
     InfiniteLanguageError,
     Lit,
+    Nfa,
     OneOf,
     Opt,
     PatternError,
@@ -402,11 +404,7 @@ def test_property_minimize_preserves_language(d):
         assert d.accepts(w) == m.accepts(w)
 
 
-@settings(max_examples=500, deadline=None)
-@given(dfas())
-def test_property_determinize_preserves_language(d):
-    from fslat.automata import Nfa
-
+def _as_nfa(d):
     nfa = Nfa(d.alphabet)
     for _ in range(d.n_states):
         nfa.add_state()
@@ -414,9 +412,57 @@ def test_property_determinize_preserves_language(d):
         for label, dst in edges:
             nfa.add_edge(src, label, dst)
     nfa.finals = set(d.finals)
-    d2 = determinize(nfa)
+    return nfa
+
+
+@settings(max_examples=500, deadline=None)
+@given(dfas())
+def test_property_determinize_preserves_language(d):
+    d2 = determinize(_as_nfa(d))
     for w in exhaustive_strings(_PROP_SYMS, 6):
         assert d.accepts(w) == d2.accepts(w)
+
+
+def assert_canonical(d):
+    """States numbered 0.. in breadth-first discovery order, every state
+    reachable, and each state's edges sorted by smallest symbol."""
+    order = [0]
+    seen = {0}
+    for state in order:
+        firsts = [min(label) for label, _ in d.transitions[state]]
+        assert firsts == sorted(set(firsts)), (state, d.transitions[state])
+        for _, dst in d.transitions[state]:
+            if dst not in seen:
+                seen.add(dst)
+                order.append(dst)
+    assert order == list(range(d.n_states)), order
+
+
+#: Every string of at most four symbols; intersecting with it makes any
+#: automaton acyclic.
+_UP_TO_4 = Dfa(
+    _PROP_ALPHABET,
+    [((frozenset(_PROP_SYMS), i + 1),) for i in range(4)] + [()],
+    range(5),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dfas(), dfas())
+def test_property_outputs_are_canonical(a, b):
+    acyclic = intersect(a, _UP_TO_4)
+    reduced = reduce_acyclic(acyclic)
+    for d in (
+        determinize(_as_nfa(a)),
+        trim(a),
+        minimize(a),
+        reduced,
+        intersect(a, b),
+        complement(a, a.alphabet),
+    ):
+        assert_canonical(d)
+    minimal = minimize(acyclic)
+    assert (reduced.transitions, reduced.finals) == (minimal.transitions, minimal.finals)
 
 
 @settings(max_examples=500, deadline=None)

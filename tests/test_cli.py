@@ -254,15 +254,7 @@ class TestArgs:
         config = parse_args(["parse", "--lexicon", "a", "--map", "b", "--grammar", "c"])
         assert config.limit == 16
         assert config.format == "table"
-        assert config.order == "as-written"
         assert config.unknown == "open"
-
-    def test_selective_order_mapped(self):
-        config = parse_args(
-            ["parse", "--lexicon", "a", "--map", "b", "--grammar", "c",
-             "--order", "selective"]
-        )
-        assert config.order == "selective-first"
 
 
 class TestParallel:

@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 
 import pytest
@@ -119,19 +120,6 @@ class TestApplyGrammar:
         rev, _ = apply_grammar(lattice, tuple(reversed(pipe.rules)))
         assert language_equal(fwd.automaton, rev.automaton)
 
-    def test_selective_first_same_set(self):
-        pipe = tiny_pipeline(TINY_GRAMMAR)
-        lattice = pipe.lattice_for(tokenize("I see a bird."))
-        a, _ = apply_grammar(lattice, pipe.rules, order="as-written")
-        b, _ = apply_grammar(lattice, pipe.rules, order="selective-first")
-        assert language_equal(a.automaton, b.automaton)
-
-    def test_unknown_order_rejected(self):
-        pipe = tiny_pipeline(TINY_GRAMMAR)
-        lattice = pipe.lattice_for(tokenize("I see a bird."))
-        with pytest.raises(ValueError):
-            apply_grammar(lattice, pipe.rules, order="sideways")
-
 
 class TestParseSentence:
     def test_demo_single_survivor_matches_sample_analysis(self, demo_pipeline):
@@ -230,6 +218,21 @@ class TestDecodeReadings:
         pipe = tiny_pipeline()
         lattice = pipe.lattice_for(["a"])
         assert decode_readings(lattice, 0) == ()
+
+    def test_sentence_longer_than_recursion_limit(self, bare_pipeline):
+        from fslat import data
+
+        tokens = tokenize(data.read("stress39.txt")) * 12
+        assert len(tokens) >= 500
+        lattice = bare_pipeline.lattice_for(tokens)
+        paths = enumerate_strings(lattice.automaton, 4)
+        assert len(paths) == 4
+        assert len(paths[0]) > sys.getrecursionlimit()
+        assert paths == sorted(paths, key=lambda p: (len(p), p))
+        assert all(lattice.automaton.accepts(p) for p in paths)
+        result = bare_pipeline.parse_sentence(tokens, limit=4)
+        assert result.status == "ok"
+        assert [len(r.tokens) for r in result.readings] == [len(tokens)] * 4
 
     def test_sample_analysis_golden(self, demo_pipeline):
         result = demo_pipeline.parse_sentence(

@@ -116,7 +116,7 @@ class TestTokenize:
 
     def test_split_sentences(self):
         tokens = tokenize("I see a bird. What are you talking about? done")
-        assert split_sentences(tokens) == [
+        assert list(split_sentences(tokens)) == [
             ["I", "see", "a", "bird", "."],
             ["What", "are", "you", "talking", "about", "?"],
             ["done"],
