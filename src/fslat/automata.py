@@ -357,7 +357,12 @@ def from_pattern(pat, alphabet):
 
 class Dfa:
     """Deterministic automaton.  State 0 is the start state; per-state edge
-    labels are pairwise disjoint symbol-id sets sorted by smallest id."""
+    labels are pairwise disjoint symbol-id sets sorted by smallest id.
+
+    Immutable once built, except for the per-symbol index behind `step`
+    and `accepts`, which is built on first use since most automata are
+    never stepped.  Threads racing to build it store equal tables, so a
+    Dfa is safe to share."""
 
     __slots__ = ("alphabet", "transitions", "finals", "_index")
 
@@ -365,14 +370,7 @@ class Dfa:
         self.alphabet = alphabet
         self.transitions = tuple(tuple(edges) for edges in transitions)
         self.finals = frozenset(finals)
-        index = []
-        for edges in self.transitions:
-            table = {}
-            for label, dst in edges:
-                for sym in label:
-                    table[sym] = dst
-            index.append(table)
-        self._index = tuple(index)
+        self._index = None
 
     @property
     def n_states(self):
@@ -382,13 +380,24 @@ class Dfa:
     def n_edges(self):
         return sum(len(edges) for edges in self.transitions)
 
+    def _symbol_index(self):
+        """Per state, a dict from symbol id to target state."""
+        index = self._index
+        if index is None:
+            index = self._index = tuple(
+                {sym: dst for label, dst in edges for sym in label}
+                for edges in self.transitions
+            )
+        return index
+
     def step(self, state, sym):
-        return self._index[state].get(sym)
+        return self._symbol_index()[state].get(sym)
 
     def accepts(self, syms):
+        index = self._symbol_index()
         state = 0
         for sym in syms:
-            state = self._index[state].get(sym)
+            state = index[state].get(sym)
             if state is None:
                 return False
         return state in self.finals
@@ -441,7 +450,8 @@ def _canonical(alphabet, start, expand):
         final, edges = expand(key)
         if final:
             finals.append(len(out))
-        edges.sort(key=_min_symbol)
+        if len(edges) > 1:
+            edges.sort(key=_min_symbol)
         resolved = []
         for label, target in edges:
             j = index.get(target)
@@ -671,21 +681,31 @@ def complement(dfa, alphabet):
     return trim(Dfa(alphabet, out, finals))
 
 
-def intersect(a, b):
-    """Product construction; accepts L(a) & L(b), trimmed to useful states."""
+def _product_edges(a, b):
+    """For the product of `a` and `b`: a function from a pair of states
+    `(sa, sb)` to its edges, a dict from target pair `(da, db)` to label."""
     if a.alphabet is not b.alphabet:
         raise AlphabetMismatchError("intersect requires a shared alphabet")
+    a_transitions = a.transitions
+    b_transitions = b.transitions
+    b_index = b._symbol_index()
 
-    def expand(pair):
-        sa, sb = pair
+    def edges(sa, sb):
         by_target = {}
-        b_edges = b.transitions[sb]
-        b_index = b._index[sb]
-        for label, da in a.transitions[sa]:
-            if len(label) <= 8:
+        b_table = b_index[sb]
+        for label, da in a_transitions[sa]:
+            size = len(label)
+            if size == 1:  # most lattice labels: keep their frozenset
+                (sym,) = label
+                db = b_table.get(sym)
+                if db is not None:
+                    key = (da, db)
+                    got = by_target.get(key)
+                    by_target[key] = label if got is None else got | label
+            elif size <= 8:
                 buckets = {}
                 for sym in label:
-                    db = b_index.get(sym)
+                    db = b_table.get(sym)
                     if db is not None:
                         buckets.setdefault(db, []).append(sym)
                 for db, syms in buckets.items():
@@ -693,16 +713,94 @@ def intersect(a, b):
                     got = by_target.get(key)
                     by_target[key] = frozenset(syms) if got is None else got | frozenset(syms)
             else:
-                for blabel, db in b_edges:
+                for blabel, db in b_transitions[sb]:
                     inter = label & blabel
                     if inter:
                         key = (da, db)
                         got = by_target.get(key)
                         by_target[key] = inter if got is None else got | inter
-        final = sa in a.finals and sb in b.finals
-        return final, [(label, t) for t, label in by_target.items()]
+        return by_target
+
+    return edges
+
+
+def intersect(a, b):
+    """Product construction; accepts L(a) & L(b), trimmed to useful states."""
+    product = _product_edges(a, b)
+    a_finals = a.finals
+    b_finals = b.finals
+
+    def expand(pair):
+        sa, sb = pair
+        edges = [(label, target) for target, label in product(sa, sb).items()]
+        return sa in a_finals and sb in b_finals, edges
 
     return trim(_canonical(a.alphabet, (0, 0), expand))
+
+
+def intersect_minimal(a, b):
+    """The minimal DFA for L(a) & L(b) and the number of strings it
+    accepts, in one walk over the product; `a` must be acyclic.
+
+    Product pairs are walked depth-first with an explicit stack.  A pair is
+    settled once all its successors are: edges into dead pairs are dropped,
+    the rest are merged by the successor's class, and `(final, edges)` is
+    looked up in a register of classes, so pairs with equal right languages
+    share one class (Daciuk, Mihov, Watson & Watson 2000).  A pair with no
+    path to a final state dies on the spot.  Each class carries its path
+    count.  The DFA equals `reduce_acyclic(intersect(a, b))`, and is
+    `empty_dfa` when nothing survives.
+
+    Raises InfiniteLanguageError if the walk meets a cycle, which the
+    product of an acyclic `a` has none of.
+    """
+    product = _product_edges(a, b)
+    a_finals = a.finals
+    b_finals = b.finals
+    on_stack = -2  # class of a pair whose successors are still being walked
+    cls = {(0, 0): on_stack}  # pair -> class id, or -1 once known dead
+    register = {}  # (final, frozenset of (class, label)) -> class id
+    classes = []  # (final, merged edges) of each class, by class id
+    counts = []  # accepted strings from each class, by class id
+    edges = product(0, 0)
+    stack = [((0, 0), edges, iter(edges))]
+    while stack:
+        pair, edges, targets = stack[-1]
+        for target in targets:
+            c = cls.get(target)
+            if c is None:
+                cls[target] = on_stack
+                target_edges = product(*target)
+                stack.append((target, target_edges, iter(target_edges)))
+                break
+            if c == on_stack:
+                raise InfiniteLanguageError("intersect_minimal met a cycle")
+        else:  # every successor is settled: settle `pair`
+            stack.pop()
+            merged = {}
+            for target, label in edges.items():
+                c = cls[target]
+                if c >= 0:
+                    got = merged.get(c)
+                    merged[c] = label if got is None else got | label
+            final = pair[0] in a_finals and pair[1] in b_finals
+            if not merged and not final:
+                cls[pair] = -1
+                continue
+            signature = (final, frozenset(merged.items()))
+            c = register.get(signature)
+            if c is None:
+                c = register[signature] = len(classes)
+                count = 1 if final else 0
+                for d, label in merged.items():
+                    count += len(label) * counts[d]
+                counts.append(count)
+                classes.append((final, [(label, d) for d, label in merged.items()]))
+            cls[pair] = c
+    start = cls[(0, 0)]
+    if start < 0:
+        return empty_dfa(a.alphabet), 0
+    return _canonical(a.alphabet, start, classes.__getitem__), counts[start]
 
 
 def is_empty(dfa):

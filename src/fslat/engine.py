@@ -17,10 +17,8 @@ from .automata import (
     Alphabet,
     count_paths,
     enumerate_strings,
-    intersect,
+    intersect_minimal,
     is_empty,
-    minimize,
-    reduce_acyclic,
 )
 from .grammar import compile_grammar, expand_constants, grammar_symbol_texts
 from .lattice import (
@@ -37,7 +35,9 @@ from .lexicon import OPEN_CLASS_GUESSES, lookup
 #: the compiled rules and every lattice share one closed alphabet.
 _PUNCT_TAGS = ("FULLSTOP", "COMMA", "QUESTION", "EXCLAMATION", "SEMICOLON", "PUNCT")
 
-#: Intermediate results larger than this get minimized between rules.
+#: No longer used by the engine, whose per-rule results are minimal by
+#: construction.  Kept only because the benchmark's automata replay
+#: (`bench/harness.py`) reads it; it goes with the next benchmark change.
 MINIMIZE_THRESHOLD = 100_000
 
 
@@ -102,10 +102,9 @@ def apply_grammar(lattice, rules):
     the surviving lattice and a trace of per-rule reading counts and
     timings; the surviving set does not depend on the order.
 
-    Every intermediate result is reduced by the linear-time acyclic
-    suffix merge (products would otherwise compound across rules); the
-    full Moore minimization additionally runs once an intermediate crosses
-    MINIMIZE_THRESHOLD states.
+    Each rule step is one `intersect_minimal` call, which builds the
+    minimal DFA of the product and its path count in a single walk, so no
+    intermediate result is larger than it needs to be.
     """
     for rule in rules:
         if rule.automaton.alphabet is not lattice.automaton.alphabet:
@@ -116,14 +115,21 @@ def apply_grammar(lattice, rules):
     steps = []
     for rule in rules:
         t0 = time.perf_counter()
-        current = reduce_acyclic(intersect(current, rule.automaton))
-        if current.n_states > MINIMIZE_THRESHOLD:
-            current = minimize(current)
-        after = count_paths(current)
+        current, after = intersect_minimal(current, rule.automaton)
         micros = int((time.perf_counter() - t0) * 1_000_000)
         steps.append(TraceStep(rule.name, before, after, micros))
         before = after
     return lattice.with_automaton(current), TraceReport(tuple(steps), before)
+
+
+def _survives(automaton, rules):
+    """True if some string of `automaton` is accepted by every rule; stops
+    at the first rule that leaves nothing."""
+    for rule in rules:
+        automaton, count = intersect_minimal(automaton, rule.automaton)
+        if not count:
+            return False
+    return not is_empty(automaton)
 
 
 def diagnose_empty(lattice, rules):
@@ -136,32 +142,25 @@ def diagnose_empty(lattice, rules):
     """
     if is_empty(lattice.automaton):
         return ()
-    full = lattice.automaton
-    for rule in rules:
-        full = intersect(full, rule.automaton)
-    if not is_empty(full):
+    rules = tuple(rules)
+    if _survives(lattice.automaton, rules):
         raise ValueError("diagnose_empty called but the intersection is non-empty")
 
-    culprits = []
-    for skipped in range(len(rules)):
-        current = lattice.automaton
-        for i, rule in enumerate(rules):
-            if i != skipped:
-                current = intersect(current, rule.automaton)
-                if is_empty(current):
-                    break
-        if not is_empty(current):
-            culprits.append(rules[skipped].name)
+    culprits = tuple(
+        rule.name
+        for i, rule in enumerate(rules)
+        if _survives(lattice.automaton, rules[:i] + rules[i + 1 :])
+    )
     if culprits:
-        return tuple(culprits)
+        return culprits
 
     current = lattice.automaton
     prefix = []
     for rule in rules:
         prefix.append(rule.name)
-        current = intersect(current, rule.automaton)
-        if is_empty(current):
-            return tuple(prefix)
+        current, count = intersect_minimal(current, rule.automaton)
+        if not count:
+            break
     return tuple(prefix)
 
 

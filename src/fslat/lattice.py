@@ -263,6 +263,9 @@ def build_lattice(cohorts, registry, alphabet):
     The result is determinized and trimmed; construction is deterministic,
     so identical inputs yield identical automata.  Readings whose printed
     symbol sequences coincide collapse into a single path.
+
+    `alphabet` is closed: the rules were compiled over it, so a marker or
+    tag it does not hold raises TagError rather than growing it.
     """
     if not cohorts:
         raise ValueError("cannot build a lattice for zero cohorts")
@@ -296,8 +299,12 @@ def build_lattice(cohorts, registry, alphabet):
                     raise TagError(
                         f"morphological symbol {text!r} collides with a registered tag"
                     )
+                if text not in alphabet:
+                    raise TagError(
+                        f"morphological symbol {text!r} is not in the closed alphabet"
+                    )
                 nxt = nfa.add_state()
-                nfa.add_edge(state, frozenset((alphabet.intern(text),)), nxt)
+                nfa.add_edge(state, frozenset((alphabet.id_of(text),)), nxt)
                 state = nxt
             for ftag, ctag in mapped.candidates:
                 fid = alphabet.id_of(ftag)

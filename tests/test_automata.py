@@ -21,9 +21,11 @@ from fslat.automata import (
     count_paths,
     determinize,
     dump,
+    empty_dfa,
     enumerate_strings,
     from_pattern,
     intersect,
+    intersect_minimal,
     is_empty,
     language_equal,
     minimize,
@@ -247,6 +249,32 @@ class TestIntersect:
         assert is_empty(intersect(a, b))
 
 
+class TestIntersectMinimal:
+    def test_empty_product_is_empty_dfa(self):
+        alph = Alphabet(["A", "B"])
+        a = determinize(from_pattern(Seq((Lit("A"), Lit("A"))), alph))
+        b = determinize(from_pattern(Seq((Lit("A"), Lit("B"))), alph))
+        got, count = intersect_minimal(a, b)
+        empty = empty_dfa(alph)
+        assert (got.transitions, got.finals, count) == (empty.transitions, empty.finals, 0)
+
+    def test_useful_cycle_raises(self, abc):
+        star = determinize(from_pattern(Star(Lit("A")), abc))
+        with pytest.raises(InfiniteLanguageError):
+            intersect_minimal(star, star)
+
+    def test_long_chain_does_not_recurse(self):
+        # deeper than Python's recursion limit: the walk keeps its own stack
+        alph = Alphabet(["A", "B"])
+        both = frozenset(ids(alph, "A", "B"))
+        n = 4999
+        chain = Dfa(alph, [((both, i + 1),) for i in range(n)] + [()], (n,))
+        sigma_star = complement(empty_dfa(alph), alph)
+        got, count = intersect_minimal(chain, sigma_star)
+        assert (got.transitions, got.finals) == (chain.transitions, chain.finals)
+        assert count == 2**n
+
+
 class TestIsEmpty:
     def test_cases(self, abc):
         assert is_empty(determinize(from_pattern(Alt(()), abc)))
@@ -463,6 +491,32 @@ def test_property_outputs_are_canonical(a, b):
         assert_canonical(d)
     minimal = minimize(acyclic)
     assert (reduced.transitions, reduced.finals) == (minimal.transitions, minimal.finals)
+
+
+@st.composite
+def dags(draw, max_states=8):
+    """Random acyclic DFAs over the same three symbols: every edge leads to
+    a higher-numbered state."""
+    n = draw(st.integers(1, max_states))
+    transitions = []
+    for src in range(n):
+        edges = []
+        for sym in _PROP_SYMS:
+            dst = draw(st.integers(src, n - 1))
+            if dst > src:
+                edges.append((frozenset((sym,)), dst))
+        transitions.append(tuple(edges))
+    finals = frozenset(s for s in range(n) if draw(st.booleans()))
+    return Dfa(_PROP_ALPHABET, transitions, finals)
+
+
+@settings(max_examples=500, deadline=None)
+@given(dags(), dfas())
+def test_property_intersect_minimal_is_reduced_product(a, b):
+    got, count = intersect_minimal(a, b)
+    want = reduce_acyclic(intersect(a, b))
+    assert (got.transitions, got.finals) == (want.transitions, want.finals)
+    assert count == count_paths(want)
 
 
 @settings(max_examples=500, deadline=None)

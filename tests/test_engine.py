@@ -1,6 +1,7 @@
 import random
 import sys
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -20,6 +21,7 @@ from fslat.grammar import (
     parse_grammar,
 )
 from fslat.lattice import (
+    TagError,
     build_lattice,
     default_registry,
     map_syntax,
@@ -162,6 +164,19 @@ class TestParseSentence:
         )
         with pytest.raises(UnknownWordError):
             pipe.parse_sentence(["xenolith"])
+
+    def test_unseen_tag_raises_and_keeps_alphabet_closed(self):
+        # the rule was complemented over the closed alphabet: a symbol
+        # interned after it would slip past its complement and drop readings
+        pipe = tiny_pipeline("! @OBJ @OBJ ;")
+        cohorts = list(pipe.cohorts_for(tokenize("I see a bird.")))
+        first = cohorts[0].readings[0]
+        odd = replace(first, reading=replace(first.reading, tags=first.reading.tags + ("NEWTAG",)))
+        cohorts[0] = replace(cohorts[0], readings=(odd,) + cohorts[0].readings[1:])
+        size = len(pipe.alphabet)
+        with pytest.raises(TagError, match="NEWTAG"):
+            build_lattice(cohorts, pipe.registry, pipe.alphabet)
+        assert len(pipe.alphabet) == size
 
 
 class TestDiagnoseEmpty:
