@@ -13,7 +13,6 @@ from .automata import (
     InfiniteLanguageError,
     Nfa,
     PatternError,
-    Symbol,
     complement,
     count_paths,
     determinize,

@@ -44,12 +44,6 @@ class AlphabetMismatchError(AutomataError):
 BOUNDARY_TEXTS = ("@@", "@", "@/", "@<", "@>")
 
 
-@dataclass(frozen=True)
-class Symbol:
-    id: int
-    text: str
-
-
 class Alphabet:
     """Bijective interning of non-empty symbol texts to dense integer ids.
 
@@ -91,9 +85,6 @@ class Alphabet:
     def __len__(self):
         return len(self._texts)
 
-    def symbols(self):
-        return [Symbol(i, t) for i, t in enumerate(self._texts)]
-
     def id_set(self):
         return frozenset(range(len(self._texts)))
 
@@ -108,9 +99,6 @@ class Alphabet:
             return self.classes[name]
         except KeyError:
             raise PatternError(f"unknown symbol class {name!r}") from None
-
-    def texts_of(self, ids):
-        return tuple(self._texts[i] for i in ids)
 
     def extended(self, text):
         """A copy with `text` interned as well.  Every existing symbol keeps
@@ -226,21 +214,6 @@ def resolve_label(pat, alphabet):
             return alphabet.id_set() - ids
         return frozenset(ids)
     raise TypeError(f"not an atomic pattern: {pat!r}")
-
-
-def resolve_pattern(pat, alphabet):
-    """Rewrite a pattern so every atom is a resolved `Syms` node."""
-    if isinstance(pat, (Lit, ClassRef, OneOf, Syms)):
-        return Syms(resolve_label(pat, alphabet))
-    if isinstance(pat, Seq):
-        return Seq(tuple(resolve_pattern(p, alphabet) for p in pat.parts))
-    if isinstance(pat, Alt):
-        return Alt(tuple(resolve_pattern(p, alphabet) for p in pat.parts))
-    if isinstance(pat, Star):
-        return Star(resolve_pattern(pat.inner, alphabet))
-    if isinstance(pat, Opt):
-        return Opt(resolve_pattern(pat.inner, alphabet))
-    raise TypeError(f"not a pattern: {pat!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -6,15 +6,17 @@
 
 Commands: parse, count, trace, check-grammar.  Input files (or stdin) are
 tokenized, split into sentences at . ? ! and processed one sentence at a
-time.  Exit codes: 0 success, 1 usage or resource error, 2 grammar error,
-3 at least one sentence lost all readings.
+time.  Exit codes: 0 success; 1 usage or resource error, an unknown word
+under `--unknown closed`, or a lexicon tag that collides with a registered
+function, clause or boundary tag; 2 grammar error; 3 at least one
+sentence lost all readings.
 
 Table output prints one row per token (surface, morphology, function tag,
 clause-function tag, following boundary) separated by single TABs, with a
 leading and trailing sentence-boundary row; readings that survive
 under-determined are collapsed per column as `[a --or-- b]` over the first
-`--limit` readings.  Records output prints one tab-separated line per
-(sentence, reading, token):
+`--limit` readings (at least 1; default 16).  Records output prints one
+tab-separated line per (sentence, reading, token):
 
     sentence reading token surface morphology ftag ctag boundary
 
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 from .automata import complement, is_empty
 from .engine import Pipeline, apply_grammar, reading_count
 from .grammar import GrammarError, parse_grammar
-from .lattice import PUNCT_TAG, default_registry, parse_syntactic_map, MapError
+from .lattice import PUNCT_TAG, MapError, TagError, default_registry, parse_syntactic_map
 from .lexicon import (
     Lexicon,
     LexiconError,
@@ -63,6 +65,12 @@ class RunConfig:
 
 
 def _build_argparser():
+    def limit(text):
+        value = int(text)
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+        return value
+
     parser = argparse.ArgumentParser(
         prog="fslat",
         description="Reductionistic finite-state parsing over ambiguity lattices.",
@@ -73,7 +81,7 @@ def _build_argparser():
         p.add_argument("--lexicon")
         p.add_argument("--map")
         p.add_argument("--grammar")
-        p.add_argument("--limit", type=int, default=16)
+        p.add_argument("--limit", type=limit, default=16)
         p.add_argument("--format", choices=("table", "records"), default="table")
         p.add_argument("--unknown", choices=("open", "closed"), default="open")
         p.add_argument("--jobs", type=int, default=1)
@@ -226,7 +234,7 @@ def render_records(result, sentence_index):
 # ---------------------------------------------------------------------------
 
 
-def _map_sentences(pipeline, config, sentences, worker):
+def _map_sentences(config, sentences, worker):
     if config.jobs > 1:
         with ThreadPoolExecutor(max_workers=config.jobs) as pool:
             yield from pool.map(worker, sentences)
@@ -235,45 +243,57 @@ def _map_sentences(pipeline, config, sentences, worker):
             yield worker(sentence)
 
 
+def _run_sentences(config, err, work, emit):
+    """Run `work(tokens)` on every input sentence and hand each result to
+    `emit(index, tokens, result)` in input order; `emit` returns False for
+    a sentence that lost every reading.  The only place where bad input
+    becomes an exit code."""
+    exit_code = EXIT_OK
+    try:
+        sentences = split_sentences(_input_tokens(config, err))
+        results = _map_sentences(config, sentences, lambda tokens: (tokens, work(tokens)))
+        for index, (tokens, result) in enumerate(results, start=1):
+            if not emit(index, tokens, result):
+                exit_code = EXIT_EMPTY
+    except FileNotFoundError:
+        return EXIT_USAGE
+    except (UnknownWordError, TagError) as exc:
+        print(f"fslat: {exc}", file=err)
+        return EXIT_USAGE
+    return exit_code
+
+
 def run_parse(config, out=None, err=None):
     out = out or sys.stdout
     err = err or sys.stderr
     pipeline, status = _load_pipeline(config, err)
     if pipeline is None:
         return status
-    exit_code = EXIT_OK
-    index = 0
     first = True
 
-    def worker(tokens):
-        return tokens, pipeline.parse_sentence(tokens, limit=config.limit)
+    def work(tokens):
+        return pipeline.parse_sentence(tokens, limit=config.limit)
 
-    try:
-        sentences = split_sentences(_input_tokens(config, err))
-        for tokens, result in _map_sentences(pipeline, config, sentences, worker):
-            index += 1
-            if result.status == "empty":
-                exit_code = EXIT_EMPTY
-                names = ", ".join(result.diagnosis) or "(no single rule responsible)"
-                print(
-                    f"fslat: sentence {index} rejected every reading;"
-                    f" implicated rules: {names}",
-                    file=err,
-                )
-                continue
-            if config.format == "table":
-                if not first:
-                    print(file=out)
-                out.write(render_table(result))
-            else:
-                out.write(render_records(result, index))
-            first = False
-    except FileNotFoundError:
-        return EXIT_USAGE
-    except UnknownWordError as exc:
-        print(f"fslat: {exc}", file=err)
-        return EXIT_USAGE
-    return exit_code
+    def emit(index, tokens, result):
+        nonlocal first
+        if result.status == "empty":
+            names = ", ".join(result.diagnosis) or "(no single rule responsible)"
+            print(
+                f"fslat: sentence {index} rejected every reading;"
+                f" implicated rules: {names}",
+                file=err,
+            )
+            return False
+        if config.format == "table":
+            if not first:
+                print(file=out)
+            out.write(render_table(result))
+        else:
+            out.write(render_records(result, index))
+        first = False
+        return True
+
+    return _run_sentences(config, err, work, emit)
 
 
 def run_count(config, out=None, err=None):
@@ -284,10 +304,9 @@ def run_count(config, out=None, err=None):
     pipeline, status = _load_pipeline(config, err)
     if pipeline is None:
         return status
-    exit_code = EXIT_OK
     print("# sentence\tmorph\t+boundaries\t+syntax\tafter-grammar", file=out)
 
-    def worker(tokens):
+    def work(tokens):
         lattice = pipeline.lattice_for(tokens)
         morph = 1
         for readings, _ in lattice.per_token_ambiguity:
@@ -297,22 +316,11 @@ def run_count(config, out=None, err=None):
         survived, _ = apply_grammar(lattice, pipeline.rules)
         return morph, with_boundaries, with_syntax, reading_count(survived)
 
-    index = 0
-    try:
-        sentences = split_sentences(_input_tokens(config, err))
-        for morph, with_b, with_s, after in _map_sentences(
-            pipeline, config, sentences, worker
-        ):
-            index += 1
-            print(f"{index}\t{morph}\t{with_b}\t{with_s}\t{after}", file=out)
-            if after == 0:
-                exit_code = EXIT_EMPTY
-    except FileNotFoundError:
-        return EXIT_USAGE
-    except UnknownWordError as exc:
-        print(f"fslat: {exc}", file=err)
-        return EXIT_USAGE
-    return exit_code
+    def emit(index, tokens, counts):
+        print(index, *counts, sep="\t", file=out)
+        return counts[-1] != 0
+
+    return _run_sentences(config, err, work, emit)
 
 
 def run_trace(config, out=None, err=None):
@@ -321,30 +329,19 @@ def run_trace(config, out=None, err=None):
     pipeline, status = _load_pipeline(config, err)
     if pipeline is None:
         return status
-    exit_code = EXIT_OK
 
-    def worker(tokens):
-        lattice = pipeline.lattice_for(tokens)
-        _, trace = apply_grammar(lattice, pipeline.rules)
-        return tokens, trace
+    def work(tokens):
+        _, trace = apply_grammar(pipeline.lattice_for(tokens), pipeline.rules)
+        return trace
 
-    index = 0
-    try:
-        sentences = split_sentences(_input_tokens(config, err))
-        for tokens, trace in _map_sentences(pipeline, config, sentences, worker):
-            index += 1
-            print(f"# sentence {index}: {' '.join(tokens)}", file=out)
-            for line in trace.lines(header=True):
-                print(line, file=out)
-            print(f"# final\t{trace.final}", file=out)
-            if trace.final == 0:
-                exit_code = EXIT_EMPTY
-    except FileNotFoundError:
-        return EXIT_USAGE
-    except UnknownWordError as exc:
-        print(f"fslat: {exc}", file=err)
-        return EXIT_USAGE
-    return exit_code
+    def emit(index, tokens, trace):
+        print(f"# sentence {index}: {' '.join(tokens)}", file=out)
+        for line in trace.lines(header=True):
+            print(line, file=out)
+        print(f"# final\t{trace.final}", file=out)
+        return trace.final != 0
+
+    return _run_sentences(config, err, work, emit)
 
 
 def run_check_grammar(config, out=None, err=None):

@@ -139,29 +139,30 @@ def diagnose_empty(lattice, rules):
     non-empty; when no single rule is responsible, returns the shortest
     prefix of the applied order whose intersection first became empty.  An
     already-empty input lattice yields no rule names.
+
+    One chain walks the applied order and keeps each prefix's product until
+    rule k empties it.  Only rules 0..k can be culprits, since rules 0..k
+    alone already leave nothing; leaving out rule i resumes from the
+    product of the rules before it.
     """
     if is_empty(lattice.automaton):
         return ()
     rules = tuple(rules)
-    if _survives(lattice.automaton, rules):
-        raise ValueError("diagnose_empty called but the intersection is non-empty")
-
-    culprits = tuple(
-        rule.name
-        for i, rule in enumerate(rules)
-        if _survives(lattice.automaton, rules[:i] + rules[i + 1 :])
-    )
-    if culprits:
-        return culprits
-
-    current = lattice.automaton
-    prefix = []
+    prefixes = [lattice.automaton]  # prefixes[i]: the lattice and rules[:i]
     for rule in rules:
-        prefix.append(rule.name)
-        current, count = intersect_minimal(current, rule.automaton)
+        current, count = intersect_minimal(prefixes[-1], rule.automaton)
         if not count:
             break
-    return tuple(prefix)
+        prefixes.append(current)
+    else:
+        raise ValueError("diagnose_empty called but the intersection is non-empty")
+    applied = rules[: len(prefixes)]
+    culprits = tuple(
+        rule.name
+        for i, rule in enumerate(applied)
+        if _survives(prefixes[i], rules[i + 1 :])
+    )
+    return culprits or tuple(rule.name for rule in applied)
 
 
 def decode_readings(lattice, limit):

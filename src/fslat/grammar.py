@@ -20,7 +20,7 @@ it contains no occurrence of its pattern at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .automata import (
     Alt,
@@ -43,7 +43,7 @@ from .automata import (
     is_empty,
     minimize,
     nullable,
-    resolve_pattern,
+    resolve_label,
 )
 
 
@@ -68,13 +68,6 @@ class GrammarCompileError(GrammarError):
 #: Default clause-breaking symbols excluded by the within-clause gap `..`.
 #: A grammar can override this set by defining a class named CLB.
 DEFAULT_CLB = ("@/", "@<", "@>", "@@")
-
-
-@dataclass(frozen=True)
-class ConstRef(Pat):
-    name: str
-    line: int = None
-    col: int = None
 
 
 @dataclass(frozen=True)
@@ -494,76 +487,49 @@ def expand_constants(grammar):
     return Grammar(dict(grammar.constants), dict(grammar.classes), tuple(rules))
 
 
-def lower_pattern(pat, clb_texts):
-    """Desugar gaps and leftover names onto kernel pattern nodes.
+def _resolve(pat, alphabet, clb_texts):
+    """Rewrite a constant-free pattern so every atom is a `Syms` node over
+    `alphabet`.
 
     `..` becomes (any symbol outside the clause-breaking set)* and `...`
-    becomes (any symbol)*.  Leftover `_NameRef`s become class references
-    when the alphabet defines a class of that name, else symbol literals;
-    that decision is made at resolution time by trying the class first.
+    becomes (any symbol)*.  A leftover bare name is a class when the
+    alphabet defines a class of that name, else a symbol literal.
     """
     if isinstance(pat, Gap):
-        if pat.within_clause:
-            return Star(OneOf(frozenset(clb_texts), negated=True))
-        return Star(OneOf(frozenset(), negated=True))
+        excluded = frozenset(clb_texts) if pat.within_clause else frozenset()
+        return Star(Syms(resolve_label(OneOf(excluded, negated=True), alphabet)))
     if isinstance(pat, _NameRef):
-        return _LateName(pat.name, pat.line, pat.col)
-    if isinstance(pat, Seq):
-        return Seq(tuple(lower_pattern(p, clb_texts) for p in pat.parts))
-    if isinstance(pat, Alt):
-        return Alt(tuple(lower_pattern(p, clb_texts) for p in pat.parts))
-    if isinstance(pat, Star):
-        return Star(lower_pattern(pat.inner, clb_texts))
-    if isinstance(pat, Opt):
-        return Opt(lower_pattern(pat.inner, clb_texts))
-    return pat
-
-
-@dataclass(frozen=True)
-class _LateName(Pat):
-    """Resolved against the alphabet: a class if one is defined under this
-    name, otherwise a plain symbol."""
-
-    name: str
-    line: int = None
-    col: int = None
-
-
-def _resolve(pat, alphabet):
-    if isinstance(pat, _LateName):
         if pat.name in alphabet.classes:
             return Syms(alphabet.class_of(pat.name))
         if pat.name in alphabet:
             return Syms(frozenset((alphabet.id_of(pat.name),)))
         raise PatternError(f"unknown symbol or class {pat.name!r}", pat.line, pat.col)
     if isinstance(pat, (Lit, ClassRef, OneOf, Syms)):
-        return resolve_pattern(pat, alphabet)
+        return Syms(resolve_label(pat, alphabet))
     if isinstance(pat, Seq):
-        return Seq(tuple(_resolve(p, alphabet) for p in pat.parts))
+        return Seq(tuple(_resolve(p, alphabet, clb_texts) for p in pat.parts))
     if isinstance(pat, Alt):
-        return Alt(tuple(_resolve(p, alphabet) for p in pat.parts))
+        return Alt(tuple(_resolve(p, alphabet, clb_texts) for p in pat.parts))
     if isinstance(pat, Star):
-        return Star(_resolve(pat.inner, alphabet))
+        return Star(_resolve(pat.inner, alphabet, clb_texts))
     if isinstance(pat, Opt):
-        return Opt(_resolve(pat.inner, alphabet))
-    raise TypeError(f"not a lowered pattern: {pat!r}")
+        return Opt(_resolve(pat.inner, alphabet, clb_texts))
+    raise TypeError(f"not a constant-free pattern: {pat!r}")
 
 
 def resolve_rule(rule, alphabet, clb_texts=DEFAULT_CLB):
     """Lower gaps and resolve every atom of a constant-free rule to symbol
     id sets over `alphabet`."""
+
+    def resolve(pat):
+        return _resolve(pat, alphabet, clb_texts)
+
     if isinstance(rule, RejectRule):
-        return replace(rule, pattern=_resolve(lower_pattern(rule.pattern, clb_texts), alphabet))
+        return replace(rule, pattern=resolve(rule.pattern))
     return replace(
         rule,
-        target=_resolve(lower_pattern(rule.target, clb_texts), alphabet),
-        contexts=tuple(
-            (
-                _resolve(lower_pattern(l, clb_texts), alphabet),
-                _resolve(lower_pattern(r, clb_texts), alphabet),
-            )
-            for l, r in rule.contexts
-        ),
+        target=resolve(rule.target),
+        contexts=tuple((resolve(l), resolve(r)) for l, r in rule.contexts),
     )
 
 
@@ -782,8 +748,6 @@ def normalize_pattern(pat):
     structurally identical iff their normal forms are equal."""
     if isinstance(pat, _NameRef):
         return _NameRef(pat.name)
-    if isinstance(pat, _LateName):
-        return _LateName(pat.name)
     if isinstance(pat, Lit):
         return Lit(pat.text)
     if isinstance(pat, ClassRef):
@@ -845,7 +809,7 @@ def pattern_text(pat):
 
 def _fmt(pat, prec):
     # prec levels: 0 union, 1 sequence, 2 postfix/atom
-    if isinstance(pat, _NameRef) or isinstance(pat, _LateName):
+    if isinstance(pat, _NameRef):
         return pat.name
     if isinstance(pat, Lit):
         return pat.text

@@ -1,9 +1,11 @@
 import io
 import os
 import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fslat import data
 from fslat.cli import (
@@ -19,6 +21,7 @@ from fslat.cli import (
     run_parse,
     run_trace,
 )
+from fslat.lattice import default_registry
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -255,6 +258,94 @@ class TestArgs:
         assert config.limit == 16
         assert config.format == "table"
         assert config.unknown == "open"
+
+    @pytest.mark.parametrize("limit", ["0", "-2"])
+    def test_limit_below_one_usage_error(self, resources, tmp_path, capsys, limit):
+        path = write_input(tmp_path, "I see a bird.\n")
+        argv = ["parse", "--limit", limit, path]
+        for flag in ("lexicon", "map", "grammar"):
+            argv += [f"--{flag}", resources[flag]]
+        assert main(argv) == EXIT_USAGE
+        assert "--limit" in capsys.readouterr().err
+
+
+#: A one-rule grammar and a map giving every reading two candidate tags keep
+#: a pipeline over a one-word lexicon cheap to build.
+TINY_GRAMMAR = "! @OBJ @OBJ ;\n"
+TINY_MAP = "FULLSTOP -> @PUNCT\n* -> @OBJ @SUBJ\n"
+
+
+def tiny_resources(directory, tags):
+    """A lexicon with one entry, "bird", whose one reading has `tags`."""
+    paths = {}
+    for name, text in (
+        ("lexicon", f'("<bird>"\n  ("bird" {" ".join(tags)}))\n("<$.>")\n'),
+        ("map", TINY_MAP),
+        ("grammar", TINY_GRAMMAR),
+    ):
+        paths[name] = os.path.join(directory, name)
+        Path(paths[name]).write_text(text, encoding="utf-8")
+    return paths
+
+
+class TestInputErrors:
+    """Bad input is exit 1 with an `fslat:` line on stderr, never a raise."""
+
+    @pytest.mark.parametrize("run", [run_parse, run_count, run_trace])
+    @pytest.mark.parametrize(
+        "tags, text, unknown",
+        [
+            (("N",), "bird zorblax.", "closed"),
+            (("N", "@SUBJ"), "bird bird.", "open"),
+            (("N", "MAINC@"), "bird bird.", "open"),
+            (("N", "@"), "bird bird.", "open"),
+        ],
+        ids=["unknown-word", "function-tag", "clause-tag", "boundary-tag"],
+    )
+    def test_error_is_usage_exit(self, tmp_path, run, tags, text, unknown):
+        config = RunConfig(
+            command=run.__name__[4:],
+            inputs=(write_input(tmp_path, text + "\n"),),
+            unknown=unknown,
+            **tiny_resources(tmp_path, tags),
+        )
+        code, _, err = run_to_string(run, config)
+        assert code == EXIT_USAGE
+        assert err.startswith("fslat: ")
+
+
+_REGISTRY = default_registry()
+_TAGS = st.lists(
+    st.sampled_from(
+        _REGISTRY.function_tags + _REGISTRY.clause_tags + _REGISTRY.boundary_tags
+    )
+    | st.text(alphabet="NV@-", min_size=1, max_size=3),
+    min_size=1,
+    max_size=4,
+)
+
+
+@pytest.mark.parametrize("command", ["parse", "count", "trace"])
+@settings(max_examples=40, deadline=None)
+@given(
+    tags=_TAGS,
+    words=st.lists(st.sampled_from(["bird", "zorblax"]), min_size=1, max_size=3),
+    unknown=st.sampled_from(["open", "closed"]),
+)
+def test_property_no_lexicon_tag_or_word_raises(command, tags, words, unknown):
+    with tempfile.TemporaryDirectory() as directory:
+        paths = tiny_resources(directory, tags)
+        path = os.path.join(directory, "input.txt")
+        Path(path).write_text(" ".join(words) + ".\n", encoding="utf-8")
+        argv = [command, "--unknown", unknown, path]
+        for flag, value in paths.items():
+            argv += [f"--{flag}", value]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_EMPTY)
+    if code == EXIT_USAGE:
+        assert err.getvalue().startswith("fslat")
 
 
 class TestParallel:
