@@ -1,4 +1,4 @@
-"""Finite-automata kernel over an interned symbol alphabet.
+"""Finite-automata kernel over a closed, interned symbol alphabet.
 
 Transitions carry symbol *sets*, not single symbols, so that transitions
 labelled with a large symbol class stay compact even when the alphabet has
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
+from types import MappingProxyType
 
 
 class AutomataError(Exception):
@@ -45,30 +46,29 @@ BOUNDARY_TEXTS = ("@@", "@", "@/", "@<", "@>")
 
 
 class Alphabet:
-    """Bijective interning of non-empty symbol texts to dense integer ids.
+    """Bijective interning of non-empty symbol texts to dense integer ids,
+    plus named symbol classes (subsets of the alphabet) that patterns may
+    reference by name.
 
-    Also holds named symbol classes (subsets of the alphabet) that patterns
-    may reference by name.
+    Closed by construction: the boundary symbols take ids 0..4, `texts`
+    follow in order (repeats keep their first id), and `classes` maps each
+    class name to member texts, every one of which must be a symbol.
+    Nothing adds a symbol or a class afterwards.
     """
 
-    def __init__(self, texts=()):
+    def __init__(self, texts=(), classes=None):
         self._ids = {}
         self._texts = []
-        self.classes = {}
-        for text in BOUNDARY_TEXTS:
-            self.intern(text)
-        for text in texts:
-            self.intern(text)
-
-    def intern(self, text):
-        if not text:
-            raise ValueError("symbol text must be non-empty")
-        sym = self._ids.get(text)
-        if sym is None:
-            sym = len(self._texts)
-            self._ids[text] = sym
-            self._texts.append(text)
-        return sym
+        for text in (*BOUNDARY_TEXTS, *texts):
+            if not text:
+                raise ValueError("symbol text must be non-empty")
+            if text not in self._ids:
+                self._ids[text] = len(self._texts)
+                self._texts.append(text)
+        self.classes = MappingProxyType({
+            name: frozenset(map(self.id_of, members))
+            for name, members in (classes or {}).items()
+        })
 
     def id_of(self, text):
         try:
@@ -88,65 +88,25 @@ class Alphabet:
     def id_set(self):
         return frozenset(range(len(self._texts)))
 
-    def define_class(self, name, texts):
-        """Register (or redefine) a named class; members are interned."""
-        members = frozenset(self.intern(t) for t in texts)
-        self.classes[name] = members
-        return members
-
-    def class_of(self, name):
-        try:
-            return self.classes[name]
-        except KeyError:
-            raise PatternError(f"unknown symbol class {name!r}") from None
-
     def extended(self, text):
-        """A copy with `text` interned as well.  Every existing symbol keeps
-        its id and every class its members, so labels carry over unchanged;
-        this alphabet is left as it is."""
-        copy = Alphabet.__new__(Alphabet)
-        copy._ids = dict(self._ids)
-        copy._texts = list(self._texts)
-        copy.classes = dict(self.classes)
-        copy.intern(text)
-        return copy
+        """A new alphabet with `text` as one more symbol.  Every existing
+        symbol keeps its id, so resolved labels carry over; the copy has no
+        classes, and this alphabet is left as it is."""
+        return Alphabet((*self._texts, text))
 
 
 # ---------------------------------------------------------------------------
 # Pattern trees
 #
 # These are the kernel-level nodes; higher layers may define richer syntax
-# and lower it onto these before construction.  Atoms either name things
-# (resolved against the alphabet here, so unknown names fail with a source
-# location) or carry pre-resolved symbol-id sets.
+# and lower it onto these before construction.  The only atom is `Syms`,
+# a set of symbol ids already resolved against the alphabet.
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class Pat:
     pass
-
-
-@dataclass(frozen=True)
-class Lit(Pat):
-    text: str
-    line: int = None
-    col: int = None
-
-
-@dataclass(frozen=True)
-class ClassRef(Pat):
-    name: str
-    line: int = None
-    col: int = None
-
-
-@dataclass(frozen=True)
-class OneOf(Pat):
-    """One symbol drawn from `texts`, or from its complement if negated."""
-
-    texts: frozenset
-    negated: bool = False
 
 
 @dataclass(frozen=True)
@@ -181,7 +141,7 @@ EPSILON = Seq(())
 
 def nullable(pat):
     """True if the pattern's language contains the empty string."""
-    if isinstance(pat, (Lit, ClassRef, OneOf, Syms)):
+    if isinstance(pat, Syms):
         return False
     if isinstance(pat, Seq):
         return all(nullable(p) for p in pat.parts)
@@ -190,30 +150,6 @@ def nullable(pat):
     if isinstance(pat, (Star, Opt)):
         return True
     raise TypeError(f"not a pattern: {pat!r}")
-
-
-def resolve_label(pat, alphabet):
-    """Resolve an atomic pattern node to a symbol-id set."""
-    if isinstance(pat, Syms):
-        return pat.ids
-    if isinstance(pat, Lit):
-        try:
-            return frozenset((alphabet.id_of(pat.text),))
-        except PatternError:
-            raise PatternError(f"unknown symbol {pat.text!r}", pat.line, pat.col) from None
-    if isinstance(pat, ClassRef):
-        try:
-            return alphabet.class_of(pat.name)
-        except PatternError:
-            raise PatternError(f"unknown symbol class {pat.name!r}", pat.line, pat.col) from None
-    if isinstance(pat, OneOf):
-        ids = set()
-        for text in pat.texts:
-            ids.add(alphabet.id_of(text))
-        if pat.negated:
-            return alphabet.id_set() - ids
-        return frozenset(ids)
-    raise TypeError(f"not an atomic pattern: {pat!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -272,16 +208,14 @@ def _eps_closure(transitions, states):
 def from_pattern(pat, alphabet):
     """Thompson construction: an NFA accepting exactly the pattern's language.
 
-    Handles symbols, named classes, explicit and negated symbol sets, plus
-    concatenation, union, star and option.
+    Handles symbol sets, concatenation, union, star and option.
     """
     nfa = Nfa(alphabet)
 
     def build(node):
-        if isinstance(node, (Lit, ClassRef, OneOf, Syms)):
-            label = resolve_label(node, alphabet)
+        if isinstance(node, Syms):
             i, o = nfa.add_state(), nfa.add_state()
-            nfa.add_edge(i, label, o)
+            nfa.add_edge(i, node.ids, o)
             return i, o
         if isinstance(node, Seq):
             if not node.parts:
@@ -332,10 +266,10 @@ class Dfa:
     """Deterministic automaton.  State 0 is the start state; per-state edge
     labels are pairwise disjoint symbol-id sets sorted by smallest id.
 
-    Immutable once built, except for the per-symbol index behind `step`
-    and `accepts`, which is built on first use since most automata are
-    never stepped.  Threads racing to build it store equal tables, so a
-    Dfa is safe to share."""
+    Immutable once built, except for the per-symbol index behind `accepts`
+    and the product kernels, which is built on first use since most
+    automata are never stepped.  Threads racing to build it store equal
+    tables, so a Dfa is safe to share."""
 
     __slots__ = ("alphabet", "transitions", "finals", "_index")
 
@@ -362,9 +296,6 @@ class Dfa:
                 for edges in self.transitions
             )
         return index
-
-    def step(self, state, sym):
-        return self._symbol_index()[state].get(sym)
 
     def accepts(self, syms):
         index = self._symbol_index()

@@ -1,12 +1,15 @@
 """Command-line front end.
 
-    fslat <command> --lexicon PATH --map PATH --grammar PATH
+    fslat parse --lexicon PATH --map PATH --grammar PATH
           [--limit N] [--format table|records] [--unknown open|closed]
           [--jobs N] [INPUT...]
+    fslat count|trace --lexicon PATH --map PATH --grammar PATH
+          [--unknown open|closed] [--jobs N] [INPUT...]
+    fslat check-grammar --grammar PATH [--lexicon PATH]
 
-Commands: parse, count, trace, check-grammar.  Input files (or stdin) are
-tokenized, split into sentences at . ? ! and processed one sentence at a
-time.  Exit codes: 0 success; 1 usage or resource error, an unknown word
+Each command accepts only the flags shown for it.  Input files (or stdin)
+are tokenized, split into sentences at . ? ! and processed one sentence at
+a time.  Exit codes: 0 success; 1 usage or resource error, an unknown word
 under `--unknown closed`, or a lexicon tag that collides with a registered
 function, clause or boundary tag; 2 grammar error; 3 at least one
 sentence lost all readings.
@@ -77,32 +80,29 @@ def _build_argparser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("parse", "count", "trace", "check-grammar"):
+        reads_sentences = name != "check-grammar"
         p = sub.add_parser(name)
         p.add_argument("--lexicon")
-        p.add_argument("--map")
+        if reads_sentences:
+            p.add_argument("--map")
         p.add_argument("--grammar")
-        p.add_argument("--limit", type=limit, default=16)
-        p.add_argument("--format", choices=("table", "records"), default="table")
-        p.add_argument("--unknown", choices=("open", "closed"), default="open")
-        p.add_argument("--jobs", type=int, default=1)
-        p.add_argument("inputs", nargs="*", metavar="INPUT")
+        if name == "parse":
+            p.add_argument("--limit", type=limit, default=16)
+            p.add_argument("--format", choices=("table", "records"), default="table")
+        if reads_sentences:
+            p.add_argument("--unknown", choices=("open", "closed"), default="open")
+            p.add_argument("--jobs", type=int, default=1)
+            p.add_argument("inputs", nargs="*", metavar="INPUT")
     return parser
 
 
 def parse_args(argv):
-    parser = _build_argparser()
-    ns = parser.parse_args(argv)
-    return RunConfig(
-        command=ns.command,
-        lexicon=ns.lexicon,
-        map=ns.map,
-        grammar=ns.grammar,
-        inputs=tuple(ns.inputs),
-        limit=ns.limit,
-        format=ns.format,
-        unknown=ns.unknown,
-        jobs=max(1, ns.jobs),
-    )
+    """A RunConfig from the command line; flags a command does not take
+    keep their RunConfig defaults."""
+    config = RunConfig(**vars(_build_argparser().parse_args(argv)))
+    config.inputs = tuple(config.inputs)
+    config.jobs = max(1, config.jobs)
+    return config
 
 
 def _read(path, err):
@@ -313,8 +313,8 @@ def run_count(config, out=None, err=None):
             morph *= readings
         with_boundaries = morph * 4 ** lattice.boundary_slots
         with_syntax = reading_count(lattice)
-        survived, _ = apply_grammar(lattice, pipeline.rules)
-        return morph, with_boundaries, with_syntax, reading_count(survived)
+        _, trace = apply_grammar(lattice, pipeline.rules)
+        return morph, with_boundaries, with_syntax, trace.final
 
     def emit(index, tokens, counts):
         print(index, *counts, sep="\t", file=out)

@@ -20,8 +20,9 @@ from .automata import (
     intersect_minimal,
     is_empty,
 )
-from .grammar import compile_grammar, expand_constants, grammar_symbol_texts
+from .grammar import DEFAULT_CLB, compile_grammar, grammar_symbol_texts
 from .lattice import (
+    LatticeShapeError,
     SentenceLattice,
     UNKNOWN_WORD_SYMBOL,
     build_lattice,
@@ -123,13 +124,13 @@ def apply_grammar(lattice, rules):
 
 
 def _survives(automaton, rules):
-    """True if some string of `automaton` is accepted by every rule; stops
-    at the first rule that leaves nothing."""
+    """True if some string of the non-empty `automaton` is accepted by
+    every rule; stops at the first rule that leaves nothing."""
     for rule in rules:
         automaton, count = intersect_minimal(automaton, rule.automaton)
         if not count:
             return False
-    return not is_empty(automaton)
+    return True
 
 
 def diagnose_empty(lattice, rules):
@@ -224,8 +225,6 @@ def decode_readings(lattice, limit):
 
 
 def _shape_error(texts, why):
-    from .lattice import LatticeShapeError
-
     return LatticeShapeError(f"{why}: {' '.join(texts)}")
 
 
@@ -276,7 +275,7 @@ class Pipeline:
         """lookup -> map -> lattice -> grammar -> decode."""
         lattice = self.lattice_for(tokens)
         survived, trace = apply_grammar(lattice, self.rules)
-        if is_empty(survived.automaton):
+        if trace.final == 0:
             diagnosis = diagnose_empty(lattice, self.rules)
             return ParseResult(survived, (), trace, "empty", diagnosis)
         readings = decode_readings(survived, limit)
@@ -291,19 +290,7 @@ def build_alphabet(lexicon, smap, grammar, registry):
     Also defines the builtin classes WORD, MARKER, MORPH, FTAG, CTAG,
     BOUNDARY and CLB (the within-clause gap exclusion set, unless the
     grammar overrides it)."""
-    from .grammar import DEFAULT_CLB
-
-    alphabet = Alphabet()
-    for tag in registry.function_tags:
-        alphabet.intern(tag)
-    for tag in registry.clause_tags:
-        alphabet.intern(tag)
-    for tag in _PUNCT_TAGS:
-        alphabet.intern(tag)
-    for tags in OPEN_CLASS_GUESSES:
-        for tag in tags:
-            alphabet.intern(tag)
-
+    synthesized = [*_PUNCT_TAGS, *(tag for tags in OPEN_CLASS_GUESSES for tag in tags)]
     markers = []
     morphs = []
     words = []
@@ -314,11 +301,8 @@ def build_alphabet(lexicon, smap, grammar, registry):
             seen.add(text)
             bucket.append(text)
 
-    for tag in _PUNCT_TAGS:
+    for tag in synthesized:
         note(morphs, tag)
-    for tags in OPEN_CLASS_GUESSES:
-        for tag in tags:
-            note(morphs, tag)
     for key, entry in lexicon.entries.items():
         for reading in entry.readings:
             for marker in reading.markers:
@@ -327,28 +311,25 @@ def build_alphabet(lexicon, smap, grammar, registry):
                 note(morphs, tag)
         note(words, f"<{key.lower()}>")
     note(words, UNKNOWN_WORD_SYMBOL)
-    for text in markers + morphs + words:
-        alphabet.intern(text)
 
+    texts = [*registry.function_tags, *registry.clause_tags, *synthesized]
+    texts += markers + morphs + words
     if smap is not None:
         for rule in smap.rules:
-            for text in rule.required:
-                alphabet.intern(text)
-
-    alphabet.define_class("WORD", words)
-    alphabet.define_class("MARKER", markers)
-    alphabet.define_class("MORPH", morphs)
-    alphabet.define_class("FTAG", registry.function_tags)
-    alphabet.define_class("CTAG", registry.clause_tags)
-    alphabet.define_class("BOUNDARY", registry.boundary_tags)
-    alphabet.define_class("CLB", DEFAULT_CLB)
-
+            texts.extend(rule.required)
+    texts.extend(registry.boundary_tags)
+    classes = {
+        "WORD": words,
+        "MARKER": markers,
+        "MORPH": morphs,
+        "FTAG": registry.function_tags,
+        "CTAG": registry.clause_tags,
+        "BOUNDARY": registry.boundary_tags,
+        "CLB": DEFAULT_CLB,
+    }
     # grammar-level definitions last so they can override the builtins
     # (notably CLB, the within-clause gap exclusion set)
     if grammar is not None:
-        expanded = expand_constants(grammar)
-        for text in grammar_symbol_texts(expanded):
-            alphabet.intern(text)
-        for name, members in expanded.classes.items():
-            alphabet.define_class(name, members)
-    return alphabet
+        texts.extend(grammar_symbol_texts(grammar))
+        classes.update(grammar.classes)
+    return Alphabet(texts, classes)

@@ -24,11 +24,8 @@ from dataclasses import dataclass, replace
 
 from .automata import (
     Alt,
-    ClassRef,
     Dfa,
     EPSILON,
-    Lit,
-    OneOf,
     Opt,
     Pat,
     PatternError,
@@ -43,7 +40,6 @@ from .automata import (
     is_empty,
     minimize,
     nullable,
-    resolve_label,
 )
 
 
@@ -439,9 +435,9 @@ def parse_grammar(text):
 
 
 def expand_constants(grammar):
-    """Inline every constant and grammar-level class reference in every
-    rule.  The result's rules contain only literal names, resolved symbol
-    sets and gaps.  Cyclic constants are an error."""
+    """Inline every constant in every rule.  The result's rules contain
+    only bare names (classes and symbols, left for `_resolve`) and gaps.
+    Cyclic constants are an error."""
 
     cache = {}
 
@@ -457,8 +453,6 @@ def expand_constants(grammar):
                 if name not in cache:
                     cache[name] = expand(grammar.constants[name], stack + (name,))
                 return cache[name]
-            if name in grammar.classes:
-                return OneOf(frozenset(grammar.classes[name]))
             return pat
         if isinstance(pat, Seq):
             return Seq(tuple(expand(p, stack) for p in pat.parts))
@@ -489,23 +483,22 @@ def expand_constants(grammar):
 
 def _resolve(pat, alphabet, clb_texts):
     """Rewrite a constant-free pattern so every atom is a `Syms` node over
-    `alphabet`.
+    `alphabet`; the one place where names and gaps become symbol ids.
 
     `..` becomes (any symbol outside the clause-breaking set)* and `...`
-    becomes (any symbol)*.  A leftover bare name is a class when the
-    alphabet defines a class of that name, else a symbol literal.
+    becomes (any symbol)*.  A bare name is a class when the alphabet
+    defines a class of that name, else a symbol.
     """
     if isinstance(pat, Gap):
-        excluded = frozenset(clb_texts) if pat.within_clause else frozenset()
-        return Star(Syms(resolve_label(OneOf(excluded, negated=True), alphabet)))
+        excluded = map(alphabet.id_of, clb_texts if pat.within_clause else ())
+        return Star(Syms(alphabet.id_set().difference(excluded)))
     if isinstance(pat, _NameRef):
-        if pat.name in alphabet.classes:
-            return Syms(alphabet.class_of(pat.name))
+        members = alphabet.classes.get(pat.name)
+        if members is not None:
+            return Syms(members)
         if pat.name in alphabet:
             return Syms(frozenset((alphabet.id_of(pat.name),)))
         raise PatternError(f"unknown symbol or class {pat.name!r}", pat.line, pat.col)
-    if isinstance(pat, (Lit, ClassRef, OneOf, Syms)):
-        return Syms(resolve_label(pat, alphabet))
     if isinstance(pat, Seq):
         return Seq(tuple(_resolve(p, alphabet, clb_texts) for p in pat.parts))
     if isinstance(pat, Alt):
@@ -580,7 +573,7 @@ def compile_rule(rule, alphabet, clb_texts=DEFAULT_CLB):
 
     scratch = alphabet.extended(_MARK)
     mark = scratch.id_of(_MARK)
-    base_star = Star(OneOf(frozenset((_MARK,)), negated=True))  # marker-free sigma*
+    base_star = _any_star(alphabet)  # marker-free sigma*
     mark_lit = Syms(frozenset((mark,)))
 
     marked_occurrence = Seq((base_star, mark_lit, target, mark_lit, base_star))
@@ -617,11 +610,7 @@ def grammar_symbol_texts(grammar):
         if isinstance(pat, _NameRef):
             if pat.name not in grammar.constants and pat.name not in grammar.classes:
                 texts.add(pat.name)
-        elif isinstance(pat, Lit):
-            texts.add(pat.text)
-        elif isinstance(pat, OneOf):
-            texts.update(pat.texts)
-        elif isinstance(pat, Seq) or isinstance(pat, Alt):
+        elif isinstance(pat, (Seq, Alt)):
             for p in pat.parts:
                 walk(p)
         elif isinstance(pat, (Star, Opt)):
@@ -748,11 +737,7 @@ def normalize_pattern(pat):
     structurally identical iff their normal forms are equal."""
     if isinstance(pat, _NameRef):
         return _NameRef(pat.name)
-    if isinstance(pat, Lit):
-        return Lit(pat.text)
-    if isinstance(pat, ClassRef):
-        return ClassRef(pat.name)
-    if isinstance(pat, (OneOf, Syms, Gap)):
+    if isinstance(pat, (Syms, Gap)):
         return pat
     if isinstance(pat, Seq):
         parts = []
@@ -811,15 +796,8 @@ def _fmt(pat, prec):
     # prec levels: 0 union, 1 sequence, 2 postfix/atom
     if isinstance(pat, _NameRef):
         return pat.name
-    if isinstance(pat, Lit):
-        return pat.text
-    if isinstance(pat, ClassRef):
-        return pat.name
     if isinstance(pat, Gap):
         return ".." if pat.within_clause else "..."
-    if isinstance(pat, OneOf):
-        inner = " | ".join(sorted(pat.texts))
-        return f"(^ {inner})" if pat.negated else f"( {inner} )"
     if isinstance(pat, Syms):
         return f"<syms {sorted(pat.ids)}>"
     if isinstance(pat, Seq):

@@ -241,10 +241,6 @@ class SentenceLattice:
     per_token_ambiguity: tuple  # of (reading count, reading x tag combinations)
     boundary_slots: int
 
-    @property
-    def token_count(self):
-        return len(self.cohorts)
-
     def with_automaton(self, dfa):
         return SentenceLattice(
             dfa,

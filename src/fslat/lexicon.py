@@ -85,9 +85,6 @@ class Lexicon:
         self.entries = dict(entries)
         self.policy = policy
 
-    def keys(self):
-        return self.entries.keys()
-
 
 def surface_key(headword):
     """Normalize a headword to its lookup key: drop the capitalization flag

@@ -6,12 +6,9 @@ from hypothesis import given, settings, strategies as st
 from fslat.automata import (
     Alphabet,
     Alt,
-    ClassRef,
     Dfa,
     InfiniteLanguageError,
-    Lit,
     Nfa,
-    OneOf,
     Opt,
     PatternError,
     Seq,
@@ -43,13 +40,21 @@ from .util import (
 
 @pytest.fixture
 def abc():
-    alph = Alphabet(["A", "B", "C", "V", "VFIN"])
-    alph.define_class("CLB", ["@/", "@<", "@>"])
-    return alph
+    return Alphabet(["A", "B", "C", "V", "VFIN"], {"CLB": ["@/", "@<", "@>"]})
 
 
 def ids(alph, *texts):
     return [alph.id_of(t) for t in texts]
+
+
+def lit(alph, text):
+    """The one-symbol pattern for `text`."""
+    return Syms(frozenset({alph.id_of(text)}))
+
+
+def a_or_ab(alph):
+    """The pattern `A | A B`."""
+    return Alt((lit(alph, "A"), Seq((lit(alph, "A"), lit(alph, "B")))))
 
 
 class TestAlphabet:
@@ -69,19 +74,24 @@ class TestAlphabet:
             Alphabet([""])
 
     def test_classes_are_subsets(self, abc):
-        members = abc.define_class("X", ["A", "B"])
-        assert members <= abc.id_set()
+        assert abc.classes["CLB"] == frozenset(ids(abc, "@/", "@<", "@>"))
+        assert abc.classes["CLB"] <= abc.id_set()
+
+    def test_class_member_must_be_a_symbol(self):
+        with pytest.raises(PatternError) as err:
+            Alphabet(["A"], {"K": ["NOPE"]})
+        assert "NOPE" in str(err.value)
 
 
 class TestFromPattern:
     def test_single_symbol(self, abc):
-        d = determinize(from_pattern(Lit("V"), abc))
+        d = determinize(from_pattern(lit(abc, "V"), abc))
         assert d.accepts(ids(abc, "V"))
         assert not d.accepts([])
         assert not d.accepts(ids(abc, "A"))
 
     def test_star(self, abc):
-        d = determinize(from_pattern(Star(Lit("A")), abc))
+        d = determinize(from_pattern(Star(lit(abc, "A")), abc))
         assert d.accepts([])
         assert d.accepts(ids(abc, "A"))
         assert d.accepts(ids(abc, "A", "A"))
@@ -90,7 +100,7 @@ class TestFromPattern:
     def test_class_concat_against_hand_matcher(self, abc):
         # concat(class CLB, VFIN) over the boundary symbols
         d = determinize(
-            from_pattern(Seq((ClassRef("CLB"), Lit("VFIN"))), abc)
+            from_pattern(Seq((Syms(abc.classes["CLB"]), lit(abc, "VFIN"))), abc)
         )
         clb = ["@/", "@<", "@>"]
         five = ["@/", "@<", "@>", "@", "VFIN"]
@@ -98,23 +108,8 @@ class TestFromPattern:
             want = hand_matcher(w, *[(c, "VFIN") for c in clb])
             assert d.accepts(ids(abc, *w)) == want, w
 
-    def test_negated_class(self, abc):
-        d = determinize(from_pattern(OneOf(frozenset(("A",)), negated=True), abc))
-        assert d.accepts(ids(abc, "B"))
-        assert not d.accepts(ids(abc, "A"))
-
-    def test_unknown_symbol_reports_location(self, abc):
-        with pytest.raises(PatternError) as err:
-            from_pattern(Lit("NOPE", line=3, col=7), abc)
-        assert "NOPE" in str(err.value)
-        assert "line 3" in str(err.value)
-
-    def test_unknown_class(self, abc):
-        with pytest.raises(PatternError):
-            from_pattern(ClassRef("NOCLASS"), abc)
-
     def test_option(self, abc):
-        d = determinize(from_pattern(Seq((Opt(Lit("A")), Lit("B"))), abc))
+        d = determinize(from_pattern(Seq((Opt(lit(abc, "A")), lit(abc, "B"))), abc))
         assert d.accepts(ids(abc, "B"))
         assert d.accepts(ids(abc, "A", "B"))
         assert not d.accepts(ids(abc, "A"))
@@ -122,7 +117,7 @@ class TestFromPattern:
 
 class TestDeterminize:
     def test_a_or_aa(self, abc):
-        nfa = from_pattern(Alt((Lit("A"), Seq((Lit("A"), Lit("A"))))), abc)
+        nfa = from_pattern(Alt((lit(abc, "A"), Seq((lit(abc, "A"), lit(abc, "A"))))), abc)
         d = determinize(nfa)
         for w in exhaustive_strings(["A", "B"], 3):
             assert d.accepts(ids(abc, *w)) == (w in {("A",), ("A", "A")}), w
@@ -132,7 +127,7 @@ class TestDeterminize:
         assert is_empty(d)
 
     def test_idempotent_on_deterministic_input(self, abc):
-        d = determinize(from_pattern(Seq((Lit("A"), Lit("B"))), abc))
+        d = determinize(from_pattern(Seq((lit(abc, "A"), lit(abc, "B"))), abc))
         # feed the DFA back through the NFA pipeline
         from fslat.automata import Nfa
 
@@ -149,13 +144,15 @@ class TestDeterminize:
 
 class TestMinimize:
     def test_minimal_input_is_fixed_point(self, abc):
-        d = minimize(determinize(from_pattern(Seq((Lit("A"), Lit("B"))), abc)))
+        d = minimize(determinize(from_pattern(Seq((lit(abc, "A"), lit(abc, "B"))), abc)))
         assert minimize(d).n_states == d.n_states
 
     def test_redundant_states_merge(self, abc):
         # two parallel branches accepting the same string
         d = determinize(
-            from_pattern(Alt((Seq((Lit("A"), Lit("B"))), Seq((Lit("A"), Lit("B"))))), abc)
+            from_pattern(
+                Alt((Seq((lit(abc, "A"), lit(abc, "B"))), Seq((lit(abc, "A"), lit(abc, "B"))))), abc
+            )
         )
         m = minimize(d)
         assert m.n_states == 3
@@ -209,7 +206,7 @@ class TestComplement:
 
     def test_single_string(self):
         alph = Alphabet(["A", "B"])
-        d = determinize(from_pattern(Lit("A"), alph))
+        d = determinize(from_pattern(lit(alph, "A"), alph))
         c = complement(d, alph)
         assert c.accepts([])
         assert c.accepts(ids(alph, "B"))
@@ -219,15 +216,17 @@ class TestComplement:
 
 class TestIntersect:
     def test_identity_and_absorbing(self, abc):
-        d = determinize(from_pattern(Alt((Lit("A"), Seq((Lit("A"), Lit("B"))))), abc))
+        d = determinize(from_pattern(a_or_ab(abc), abc))
         everything = determinize(from_pattern(Star(Syms(abc.id_set())), abc))
         empty = determinize(from_pattern(Alt(()), abc))
         assert language_equal(intersect(d, everything), d)
         assert is_empty(intersect(d, empty))
 
     def test_enumeration_oracle(self, abc):
-        d1 = determinize(from_pattern(Alt((Lit("A"), Seq((Lit("A"), Lit("B"))))), abc))
-        d2 = determinize(from_pattern(Alt((Seq((Lit("A"), Lit("B"))), Lit("B"))), abc))
+        d1 = determinize(from_pattern(a_or_ab(abc), abc))
+        d2 = determinize(
+            from_pattern(Alt((Seq((lit(abc, "A"), lit(abc, "B"))), lit(abc, "B"))), abc)
+        )
         di = intersect(d1, d2)
         got = language_up_to(di, ids(abc, "A", "B"), 2)
         assert got == {tuple(ids(abc, "A", "B"))}
@@ -244,22 +243,22 @@ class TestIntersect:
 
     def test_disjoint_singletons_empty(self):
         alph = Alphabet(["A", "B"])
-        a = determinize(from_pattern(Seq((Lit("A"), Lit("A"))), alph))
-        b = determinize(from_pattern(Seq((Lit("B"), Lit("B"))), alph))
+        a = determinize(from_pattern(Seq((lit(alph, "A"), lit(alph, "A"))), alph))
+        b = determinize(from_pattern(Seq((lit(alph, "B"), lit(alph, "B"))), alph))
         assert is_empty(intersect(a, b))
 
 
 class TestIntersectMinimal:
     def test_empty_product_is_empty_dfa(self):
         alph = Alphabet(["A", "B"])
-        a = determinize(from_pattern(Seq((Lit("A"), Lit("A"))), alph))
-        b = determinize(from_pattern(Seq((Lit("A"), Lit("B"))), alph))
+        a = determinize(from_pattern(Seq((lit(alph, "A"), lit(alph, "A"))), alph))
+        b = determinize(from_pattern(Seq((lit(alph, "A"), lit(alph, "B"))), alph))
         got, count = intersect_minimal(a, b)
         empty = empty_dfa(alph)
         assert (got.transitions, got.finals, count) == (empty.transitions, empty.finals, 0)
 
     def test_useful_cycle_raises(self, abc):
-        star = determinize(from_pattern(Star(Lit("A")), abc))
+        star = determinize(from_pattern(Star(lit(abc, "A")), abc))
         with pytest.raises(InfiniteLanguageError):
             intersect_minimal(star, star)
 
@@ -278,12 +277,12 @@ class TestIntersectMinimal:
 class TestIsEmpty:
     def test_cases(self, abc):
         assert is_empty(determinize(from_pattern(Alt(()), abc)))
-        assert not is_empty(determinize(from_pattern(Lit("A"), abc)))
+        assert not is_empty(determinize(from_pattern(lit(abc, "A"), abc)))
 
 
 class TestCountPaths:
     def test_single_string(self, abc):
-        d = determinize(from_pattern(Seq((Lit("A"), Lit("B"))), abc))
+        d = determinize(from_pattern(Seq((lit(abc, "A"), lit(abc, "B"))), abc))
         assert count_paths(d) == 1
 
     def test_grid_closed_form(self):
@@ -297,7 +296,7 @@ class TestCountPaths:
                 assert len(enumerate_strings(d, k**n + 5)) == k**n
 
     def test_infinite_language_error(self, abc):
-        d = determinize(from_pattern(Star(Lit("A")), abc))
+        d = determinize(from_pattern(Star(lit(abc, "A")), abc))
         with pytest.raises(InfiniteLanguageError):
             count_paths(d)
 
@@ -335,13 +334,13 @@ class TestEnumerate:
         assert enumerate_strings(determinize(from_pattern(Alt(()), abc)), 10) == []
 
     def test_small_language(self, abc):
-        d = determinize(from_pattern(Alt((Lit("A"), Seq((Lit("A"), Lit("B"))))), abc))
+        d = determinize(from_pattern(a_or_ab(abc), abc))
         a, b = ids(abc, "A", "B")
         assert enumerate_strings(d, 10) == [(a,), (a, b)]
         assert enumerate_strings(d, 1) == [(a,)]
 
     def test_limit_zero(self, abc):
-        d = determinize(from_pattern(Lit("A"), abc))
+        d = determinize(from_pattern(lit(abc, "A"), abc))
         assert enumerate_strings(d, 0) == []
 
     def test_shortlex_order(self):
@@ -374,7 +373,7 @@ class TestEnumerate:
 class TestDump:
     def test_format(self):
         alph = Alphabet(["A", "B"])
-        d = determinize(from_pattern(Alt((Lit("A"), Seq((Lit("A"), Lit("B"))))), alph))
+        d = determinize(from_pattern(a_or_ab(alph), alph))
         text = dump(d)
         lines = text.splitlines()
         assert lines[0] == "0\tA\t1"

@@ -268,6 +268,22 @@ class TestArgs:
         assert main(argv) == EXIT_USAGE
         assert "--limit" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", "--format", "records"],
+            ["trace", "--limit", "3"],
+            ["check-grammar", "--jobs", "2"],
+        ],
+        ids=["count-format", "trace-limit", "check-grammar-jobs"],
+    )
+    def test_flag_of_another_command_usage_error(self, resources, tmp_path, capsys, argv):
+        argv = argv + ["--grammar", resources["grammar"], "--lexicon", resources["lexicon"]]
+        if argv[0] != "check-grammar":
+            argv += ["--map", resources["map"], write_input(tmp_path, "I see a bird.\n")]
+        assert main(argv) == EXIT_USAGE
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 #: A one-rule grammar and a map giving every reading two candidate tags keep
 #: a pipeline over a one-word lexicon cheap to build.

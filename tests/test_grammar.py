@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from fslat.automata import (
     Alphabet,
+    PatternError,
     complement,
     is_empty,
     language_equal,
@@ -162,6 +163,12 @@ class TestCompileRule:
     def test_vacuous_contexts_accept_everything(self, abc):
         rule, compiled = compile_single("B => _ ... ;", abc)
         assert is_empty(complement(compiled.automaton, abc))
+
+    def test_unknown_symbol_reports_location(self, abc):
+        with pytest.raises(PatternError) as err:
+            compile_single("K = A ;\nB => NOPE _ K ;", abc)
+        assert "NOPE" in str(err.value)
+        assert "line 2" in str(err.value)
 
     def test_empty_target_rejected(self, abc):
         with pytest.raises(GrammarCompileError):
