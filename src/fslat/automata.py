@@ -8,6 +8,9 @@ share between threads; every constructor function returns a fresh object.
 A DFA's start state is always state 0 and its states are numbered in
 breadth-first discovery order with per-state edges sorted by smallest
 symbol id, so structurally identical inputs produce identical automata.
+Only `Dfa` values are numbered so.  A `Chain`, which folds a sequence of
+intersections over an acyclic language, keeps each step's states in the
+order its walk settled them and is numbered once, at the end.
 """
 
 from __future__ import annotations
@@ -642,32 +645,109 @@ def intersect(a, b):
     return trim(_canonical(a.alphabet, (0, 0), expand))
 
 
-def intersect_minimal(a, b):
-    """The minimal DFA for L(a) & L(b) and the number of strings it
-    accepts, in one walk over the product; `a` must be acyclic.
+class Chain:
+    """An acyclic language on its way through a chain of intersections.
 
-    Product pairs are walked depth-first with an explicit stack.  A pair is
-    settled once all its successors are: edges into dead pairs are dropped,
-    the rest are merged by the successor's class, and `(final, edges)` is
-    looked up in a register of classes, so pairs with equal right languages
-    share one class (Daciuk, Mihov, Watson & Watson 2000).  A pair with no
-    path to a final state dies on the spot.  Each class carries its path
-    count.  The DFA equals `reduce_acyclic(intersect(a, b))`, and is
-    `empty_dfa` when nothing survives.
+    A chain built by a step holds the register's classes in the order
+    the walk settled them: `transitions[c]` lists class `c`'s `(label,
+    successor)` edges, successors have smaller ids than `c`, `finals` is
+    the set of accepting classes, `start` the start class and `count` the
+    number of strings.  Such a chain is minimal and trim but not
+    canonically numbered; `dfa()` numbers it, once, at the end.
 
-    Raises InfiniteLanguageError if the walk meets a cycle, which the
-    product of an acyclic `a` has none of.
+    `Chain(dfa)` starts a chain from an acyclic DFA that is not known to
+    be minimal: its first step always runs the product, and until then
+    `dfa()` returns that DFA itself and `count` is None.
     """
+
+    __slots__ = ("alphabet", "transitions", "finals", "start", "count", "_source")
+
+    def __init__(self, dfa):
+        self.alphabet = dfa.alphabet
+        self.transitions = dfa.transitions
+        self.finals = dfa.finals
+        self.start = 0
+        self.count = None
+        self._source = dfa
+
+    @classmethod
+    def _settled(cls, alphabet, transitions, finals, start, count):
+        chain = cls.__new__(cls)
+        chain.alphabet = alphabet
+        chain.transitions = transitions
+        chain.finals = finals
+        chain.start = start
+        chain.count = count
+        chain._source = None
+        return chain
+
+    def intersect(self, b):
+        """`(chain, count)` for L(self) & L(b).  When this chain came from
+        a step and its language is contained in L(b), that is this chain
+        itself and its count; otherwise one register walk over the product
+        (see `intersect_minimal`).  Raises InfiniteLanguageError if the
+        walk meets a cycle."""
+        if b.alphabet is not self.alphabet:
+            raise AlphabetMismatchError("intersect requires a shared alphabet")
+        if self._source is None and _contained(self, b):
+            return self, self.count
+        chain = _register_product(self, b)
+        return chain, chain.count
+
+    def dfa(self):
+        """The canonically numbered DFA of the chain's language."""
+        if self._source is not None:
+            return self._source
+        transitions = self.transitions
+        finals = self.finals
+        return _canonical(
+            self.alphabet, self.start, lambda c: (c in finals, list(transitions[c]))
+        )
+
+
+def _contained(chain, b):
+    """True if `b` accepts every string of the trim `chain`: a depth-first
+    walk over product pairs that stops at the first symbol `b` cannot step
+    or the first accepting class whose pair `b` does not accept."""
+    b_index = b._symbol_index()
+    b_finals = b.finals
+    transitions = chain.transitions
+    finals = chain.finals
+    start = (chain.start, 0)
+    seen = {start}
+    stack = [start]
+    while stack:
+        sa, sb = stack.pop()
+        if sa in finals and sb not in b_finals:
+            return False
+        b_table = b_index[sb]
+        for label, da in transitions[sa]:
+            for sym in label:
+                db = b_table.get(sym)
+                if db is None:
+                    return False
+                pair = (da, db)
+                if pair not in seen:
+                    seen.add(pair)
+                    stack.append(pair)
+    return True
+
+
+def _register_product(a, b):
+    """The product walk behind `Chain.intersect`: the chain of L(a) & L(b)
+    for a chain `a`."""
     product = _product_edges(a, b)
     a_finals = a.finals
     b_finals = b.finals
     on_stack = -2  # class of a pair whose successors are still being walked
-    cls = {(0, 0): on_stack}  # pair -> class id, or -1 once known dead
+    root = (a.start, 0)
+    cls = {root: on_stack}  # pair -> class id, or -1 once known dead
     register = {}  # (final, frozenset of (class, label)) -> class id
-    classes = []  # (final, merged edges) of each class, by class id
+    transitions = []  # merged edges of each class, by class id
+    finals = set()
     counts = []  # accepted strings from each class, by class id
-    edges = product(0, 0)
-    stack = [((0, 0), edges, iter(edges))]
+    edges = product(*root)
+    stack = [(root, edges, iter(edges))]
     while stack:
         pair, edges, targets = stack[-1]
         for target in targets:
@@ -694,17 +774,42 @@ def intersect_minimal(a, b):
             signature = (final, frozenset(merged.items()))
             c = register.get(signature)
             if c is None:
-                c = register[signature] = len(classes)
+                c = register[signature] = len(transitions)
                 count = 1 if final else 0
                 for d, label in merged.items():
                     count += len(label) * counts[d]
                 counts.append(count)
-                classes.append((final, [(label, d) for d, label in merged.items()]))
+                if final:
+                    finals.add(c)
+                transitions.append([(label, d) for d, label in merged.items()])
             cls[pair] = c
-    start = cls[(0, 0)]
-    if start < 0:
-        return empty_dfa(a.alphabet), 0
-    return _canonical(a.alphabet, start, classes.__getitem__), counts[start]
+    start = cls[root]
+    if start < 0:  # nothing survives: one non-accepting class, as empty_dfa
+        return Chain._settled(a.alphabet, [[]], frozenset(), 0, 0)
+    return Chain._settled(a.alphabet, transitions, finals, start, counts[start])
+
+
+def intersect_minimal(a, b):
+    """The minimal DFA for L(a) & L(b) and the number of strings it
+    accepts, in one walk over the product; `a` must be acyclic.
+
+    Product pairs are walked depth-first with an explicit stack.  A pair is
+    settled once all its successors are: edges into dead pairs are dropped,
+    the rest are merged by the successor's class, and `(final, edges)` is
+    looked up in a register of classes, so pairs with equal right languages
+    share one class (Daciuk, Mihov, Watson & Watson 2000).  A pair with no
+    path to a final state dies on the spot.  Each class carries its path
+    count.  The DFA equals `reduce_acyclic(intersect(a, b))`, and is
+    `empty_dfa` when nothing survives.
+
+    This is one step of a `Chain` followed by its `dfa()`; a chain of
+    several rules numbers its states only once, at the end.
+
+    Raises InfiniteLanguageError if the walk meets a cycle, which the
+    product of an acyclic `a` has none of.
+    """
+    chain, count = Chain(a).intersect(b)
+    return chain.dfa(), count
 
 
 def is_empty(dfa):

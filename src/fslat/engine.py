@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 from .automata import (
     Alphabet,
+    Chain,
     count_paths,
     enumerate_strings,
-    intersect_minimal,
     is_empty,
 )
 from .grammar import DEFAULT_CLB, compile_grammar, grammar_symbol_texts
@@ -103,31 +103,34 @@ def apply_grammar(lattice, rules):
     the surviving lattice and a trace of per-rule reading counts and
     timings; the surviving set does not depend on the order.
 
-    Each rule step is one `intersect_minimal` call, which builds the
-    minimal DFA of the product and its path count in a single walk, so no
-    intermediate result is larger than it needs to be.
+    The rules are folded over one `automata.Chain`.  A step builds the
+    minimal automaton of the product and its path count in a single walk,
+    or, when the rule accepts everything that is left, costs only a
+    containment check and returns the chain as it was.  States are
+    numbered once, for the surviving automaton; with no rules that is the
+    lattice's own.
     """
     for rule in rules:
         if rule.automaton.alphabet is not lattice.automaton.alphabet:
             raise RuleAlphabetError(rule.name)
 
-    current = lattice.automaton
-    before = count_paths(current)
+    chain = Chain(lattice.automaton)
+    before = count_paths(lattice.automaton)
     steps = []
     for rule in rules:
         t0 = time.perf_counter()
-        current, after = intersect_minimal(current, rule.automaton)
+        chain, after = chain.intersect(rule.automaton)
         micros = int((time.perf_counter() - t0) * 1_000_000)
         steps.append(TraceStep(rule.name, before, after, micros))
         before = after
-    return lattice.with_automaton(current), TraceReport(tuple(steps), before)
+    return lattice.with_automaton(chain.dfa()), TraceReport(tuple(steps), before)
 
 
-def _survives(automaton, rules):
-    """True if some string of the non-empty `automaton` is accepted by
-    every rule; stops at the first rule that leaves nothing."""
+def _survives(chain, rules):
+    """True if some string of the non-empty `chain` is accepted by every
+    rule; stops at the first rule that leaves nothing."""
     for rule in rules:
-        automaton, count = intersect_minimal(automaton, rule.automaton)
+        chain, count = chain.intersect(rule.automaton)
         if not count:
             return False
     return True
@@ -141,17 +144,17 @@ def diagnose_empty(lattice, rules):
     prefix of the applied order whose intersection first became empty.  An
     already-empty input lattice yields no rule names.
 
-    One chain walks the applied order and keeps each prefix's product until
+    One chain walks the applied order and keeps each prefix's chain until
     rule k empties it.  Only rules 0..k can be culprits, since rules 0..k
     alone already leave nothing; leaving out rule i resumes from the
-    product of the rules before it.
+    chain of the rules before it.
     """
     if is_empty(lattice.automaton):
         return ()
     rules = tuple(rules)
-    prefixes = [lattice.automaton]  # prefixes[i]: the lattice and rules[:i]
+    prefixes = [Chain(lattice.automaton)]  # prefixes[i]: the lattice and rules[:i]
     for rule in rules:
-        current, count = intersect_minimal(prefixes[-1], rule.automaton)
+        current, count = prefixes[-1].intersect(rule.automaton)
         if not count:
             break
         prefixes.append(current)

@@ -5,7 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from fslat.automata import (
     Alphabet,
+    AlphabetMismatchError,
     Alt,
+    Chain,
     Dfa,
     InfiniteLanguageError,
     Nfa,
@@ -55,6 +57,11 @@ def lit(alph, text):
 def a_or_ab(alph):
     """The pattern `A | A B`."""
     return Alt((lit(alph, "A"), Seq((lit(alph, "A"), lit(alph, "B")))))
+
+
+def sigma_star(alph):
+    """The DFA accepting every string over `alph`."""
+    return complement(empty_dfa(alph), alph)
 
 
 class TestAlphabet:
@@ -272,6 +279,66 @@ class TestIntersectMinimal:
         got, count = intersect_minimal(chain, sigma_star)
         assert (got.transitions, got.finals) == (chain.transitions, chain.finals)
         assert count == 2**n
+
+
+class TestChain:
+    def _dfa(self, alph, pat):
+        return determinize(from_pattern(pat, alph))
+
+    def _stepped(self, alph):
+        """A chain of `A | A B` that came from a step, so is minimal."""
+        chain, count = Chain(self._dfa(alph, a_or_ab(alph))).intersect(sigma_star(alph))
+        assert count == 2
+        return chain
+
+    def test_contained_step_returns_same_chain(self, abc):
+        chain = self._stepped(abc)
+        for rule in (sigma_star(abc), self._dfa(abc, a_or_ab(abc))):
+            again, count = chain.intersect(rule)
+            assert again is chain
+            assert count == 2
+
+    def test_first_step_always_runs_the_product(self, abc):
+        # a chain started from a DFA is not known to be minimal
+        redundant = Dfa(
+            abc, [((frozenset(ids(abc, "A")), 1), (frozenset(ids(abc, "B")), 2)), (), ()], (1, 2)
+        )
+        start = Chain(redundant)
+        chain, count = start.intersect(sigma_star(abc))
+        assert chain is not start
+        assert count == 2
+        got, want = chain.dfa(), reduce_acyclic(redundant)
+        assert (got.n_states, got.transitions, got.finals) == (
+            want.n_states, want.transitions, want.finals,
+        )
+
+    def test_zero_steps_give_the_source_dfa(self, abc):
+        d = self._dfa(abc, a_or_ab(abc))
+        assert Chain(d).dfa() is d
+
+    @pytest.mark.parametrize(
+        "rule_texts, count",
+        [
+            ((("A", "B"),), 1),  # every symbol steps, but the pair after A is not final
+            ((("A",),), 1),  # B cannot step
+            ((("B",),), 0),
+        ],
+    )
+    def test_step_that_cuts_runs_the_product(self, abc, rule_texts, count):
+        chain = self._stepped(abc)
+        rule = self._dfa(
+            abc, Alt(tuple(Seq(tuple(lit(abc, t) for t in texts)) for texts in rule_texts))
+        )
+        got, got_count = chain.intersect(rule)
+        assert got is not chain
+        assert got_count == count
+        want = reduce_acyclic(intersect(chain.dfa(), rule))
+        assert (got.dfa().transitions, got.dfa().finals) == (want.transitions, want.finals)
+
+    def test_alphabet_mismatch_raises_before_any_walk(self, abc):
+        other = Alphabet(["A", "B"])
+        with pytest.raises(AlphabetMismatchError):
+            self._stepped(abc).intersect(sigma_star(other))
 
 
 class TestIsEmpty:
@@ -527,3 +594,40 @@ def test_property_count_equals_enumeration(d):
         return
     if n <= 10_000:
         assert len(enumerate_strings(d, n + 1)) == n
+
+
+_SIGMA_STAR = sigma_star(_PROP_ALPHABET)
+
+
+@st.composite
+def rule_lists(draw):
+    """One to five rule DFAs: random ones, Sigma*, an empty language, and
+    repeats of an earlier rule, so that chains take the containment
+    shortcut and can become empty partway."""
+    rules = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(("random", "sigma_star", "empty", "repeat")))
+        if kind == "sigma_star":
+            rules.append(_SIGMA_STAR)
+        elif kind == "empty":
+            rules.append(empty_dfa(_PROP_ALPHABET))
+        elif kind == "repeat" and rules:
+            rules.append(draw(st.sampled_from(rules)))
+        else:
+            rules.append(draw(dfas()))
+    return rules
+
+
+@settings(max_examples=500, deadline=None)
+@given(dags(), rule_lists())
+def test_property_chain_fold_is_reduced_product_fold(a, rules):
+    chain = Chain(a)
+    want = a
+    for rule in rules:
+        chain, count = chain.intersect(rule)
+        want = reduce_acyclic(intersect(want, rule))
+        assert count == count_paths(want)
+    got = chain.dfa()
+    assert (got.n_states, got.transitions, got.finals) == (
+        want.n_states, want.transitions, want.finals,
+    )

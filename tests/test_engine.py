@@ -5,7 +5,8 @@ from dataclasses import replace
 
 import pytest
 
-from fslat.automata import enumerate_strings, is_empty, language_equal
+from fslat import automata
+from fslat.automata import enumerate_strings, is_empty, language_equal, reduce_acyclic
 from fslat.engine import (
     Pipeline,
     RuleAlphabetError,
@@ -78,6 +79,32 @@ class TestApplyGrammar:
         lattice = pipe.lattice_for(tokenize("I see a bird."))
         survived, trace = apply_grammar(lattice, pipe.rules)
         assert trace.steps[0].before == trace.steps[0].after
+        # the first step runs the product even so: the result is minimal
+        got, want = survived.automaton, reduce_acyclic(lattice.automaton)
+        assert want.n_states < lattice.automaton.n_states
+        assert (got.n_states, got.transitions, got.finals) == (
+            want.n_states, want.transitions, want.finals,
+        )
+
+    def test_states_numbered_once_per_sentence(self, demo_pipeline, monkeypatch):
+        from fslat import data
+
+        lattices = [
+            demo_pipeline.lattice_for(tokenize(line))
+            for line in data.read("sample_sentences.txt").splitlines()[:4]
+        ]
+        calls = []
+        canonical = automata._canonical
+
+        def counted(*args):
+            calls.append(1)
+            return canonical(*args)
+
+        monkeypatch.setattr(automata, "_canonical", counted)
+        for lattice in lattices:
+            calls.clear()
+            apply_grammar(lattice, demo_pipeline.rules)
+            assert len(calls) == 1
 
     def test_counts_monotone(self):
         pipe = tiny_pipeline(TINY_GRAMMAR)
@@ -179,6 +206,32 @@ class TestParseSentence:
         assert len(pipe.alphabet) == size
 
 
+#: Culprits on the bundled sentences, pinned from the engine as it was
+#: before rule steps ran on `automata.Chain`.  "Providing" gives the same
+#: culprit under both rules but takes tens of seconds to diagnose, so it is
+#: left out here.
+_PINNED_CULPRITS = {
+    "! @@ WORD ;": [
+        ("I see a bird.", ("! @@ WORD",)),
+        ("Henry dislikes her leaving so early.", ("! @@ WORD",)),
+        ("What makes them acceptable is that they have different verbal regents.", ("! @@ WORD",)),
+        ("Pushkin was Russia's greatest poet, and Tolstoy her greatest novelist.", ("! @@ WORD",)),
+        ("They established networks of state and local societies.", ("! @@ WORD",)),
+        ("What are you talking about?", ("! @@ WORD",)),
+        ("Smoking cigarettes inspires the fat butcher's wife and daughters.", ("! @@ WORD",)),
+    ],
+    "! FULLSTOP ;": [
+        ("I see a bird.", ("! FULLSTOP",)),
+        ("Henry dislikes her leaving so early.", ("! FULLSTOP",)),
+        ("What makes them acceptable is that they have different verbal regents.", ("! FULLSTOP",)),
+        ("Pushkin was Russia's greatest poet, and Tolstoy her greatest novelist.", ("! FULLSTOP",)),
+        ("They established networks of state and local societies.", ("! FULLSTOP",)),
+        ("What are you talking about?", None),  # not rejected
+        ("Smoking cigarettes inspires the fat butcher's wife and daughters.", ("! FULLSTOP",)),
+    ],
+}
+
+
 class TestDiagnoseEmpty:
     def test_kill_all_rule_named(self):
         pipe = tiny_pipeline("@MV => @SUBJ .. VFIN _ ;\n! ... ;\n")
@@ -215,6 +268,20 @@ class TestDiagnoseEmpty:
         lattice = pipe.lattice_for(tokenize("I see a bird."))
         with pytest.raises(ValueError):
             diagnose_empty(lattice, pipe.rules)
+
+    @pytest.mark.parametrize("extra", sorted(_PINNED_CULPRITS))
+    def test_demo_culprits_pinned(self, demo_lexicon, demo_map, registry, extra):
+        from fslat import data
+
+        grammar = parse_grammar(data.read("demo.fsg") + "\n" + extra + "\n")
+        pipe = Pipeline.build(demo_lexicon, demo_map, grammar, registry)
+        for sentence, culprits in _PINNED_CULPRITS[extra]:
+            lattice = pipe.lattice_for(tokenize(sentence))
+            if culprits is None:
+                with pytest.raises(ValueError):
+                    diagnose_empty(lattice, pipe.rules)
+            else:
+                assert diagnose_empty(lattice, pipe.rules) == culprits, sentence
 
 
 class TestDecodeReadings:
