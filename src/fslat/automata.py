@@ -314,25 +314,24 @@ def empty_dfa(alphabet):
     return Dfa(alphabet, ((),), frozenset())
 
 
-def _partition(labels):
+def partition(labels):
     """Partition the symbols occurring in `labels` into blocks such that
     every label is a disjoint union of blocks.  Returns (blocks,
-    label_to_block_ids)."""
+    label_to_block_ids), the blocks sorted by smallest symbol."""
     membership = {}
     for i, label in enumerate(labels):
         for sym in label:
             membership.setdefault(sym, []).append(i)
     groups = {}
-    for sym in sorted(membership):
+    for sym in sorted(membership):  # so groups open in smallest-symbol order
         groups.setdefault(tuple(membership[sym]), []).append(sym)
-    blocks = [frozenset(g) for g in groups.values()]
-    blocks.sort(key=min)
-    label_blocks = {}
-    for label in labels:
-        label_blocks[label] = tuple(
-            bi for bi, block in enumerate(blocks) if next(iter(block)) in label
-        )
-    return blocks, label_blocks
+    blocks = []
+    per_label = [[] for _ in labels]
+    for b, (members, syms) in enumerate(groups.items()):
+        blocks.append(frozenset(syms))
+        for i in members:
+            per_label[i].append(b)
+    return blocks, {label: tuple(bs) for label, bs in zip(labels, per_label)}
 
 
 def _min_symbol(edge):
@@ -395,18 +394,23 @@ def determinize(nfa):
             elif label:
                 sym_edges[src].append((label, dst))
                 seen_labels[label] = None
-    blocks, label_blocks = _partition(list(seen_labels))
+    blocks, label_blocks = partition(list(seen_labels))
+
+    closures = {}  # move set -> its epsilon closure
 
     def closure(states):
-        seen = set(states)
-        stack = list(states)
-        while stack:
-            state = stack.pop()
-            for dst in eps[state]:
-                if dst not in seen:
-                    seen.add(dst)
-                    stack.append(dst)
-        return frozenset(seen)
+        got = closures.get(states)
+        if got is None:
+            seen = set(states)
+            stack = list(states)
+            while stack:
+                state = stack.pop()
+                for dst in eps[state]:
+                    if dst not in seen:
+                        seen.add(dst)
+                        stack.append(dst)
+            got = closures[states] = frozenset(seen)
+        return got
 
     def expand(subset):
         moves = {}
@@ -416,14 +420,14 @@ def determinize(nfa):
                     moves.setdefault(b, set()).add(dst)
         grouped = {}
         for b in sorted(moves):
-            grouped.setdefault(closure(moves[b]), []).append(b)
+            grouped.setdefault(closure(frozenset(moves[b])), []).append(b)
         edges = [
             (frozenset().union(*(blocks[b] for b in bs)), target)
             for target, bs in grouped.items()
         ]
         return not subset.isdisjoint(nfa.finals), edges
 
-    return _canonical(nfa.alphabet, closure((nfa.start,)), expand)
+    return _canonical(nfa.alphabet, closure(frozenset((nfa.start,))), expand)
 
 
 def _reachable(dfa):
@@ -484,7 +488,7 @@ def minimize(dfa):
     for edges in d.transitions:
         for label, _ in edges:
             labels[label] = None
-    blocks, label_blocks = _partition(list(labels))
+    blocks, label_blocks = partition(list(labels))
     nblocks = len(blocks)
     # per-state transition over blocks; -1 encodes the implicit dead state
     table = []

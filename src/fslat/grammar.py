@@ -23,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .automata import (
+    BOUNDARY_TEXTS,
+    Alphabet,
     Alt,
     Dfa,
     EPSILON,
@@ -40,6 +42,7 @@ from .automata import (
     is_empty,
     minimize,
     nullable,
+    partition,
 )
 
 
@@ -442,43 +445,49 @@ def expand_constants(grammar):
     cache = {}
 
     def expand(pat, stack):
-        if isinstance(pat, _NameRef):
-            name = pat.name
-            if name in grammar.constants:
-                if name in stack:
-                    cycle = " -> ".join(list(stack) + [name])
-                    raise GrammarCompileError(
-                        f"cyclic constant definition: {cycle}", pat.line, pat.col
-                    )
-                if name not in cache:
-                    cache[name] = expand(grammar.constants[name], stack + (name,))
-                return cache[name]
-            return pat
-        if isinstance(pat, Seq):
-            return Seq(tuple(expand(p, stack) for p in pat.parts))
-        if isinstance(pat, Alt):
-            return Alt(tuple(expand(p, stack) for p in pat.parts))
-        if isinstance(pat, Star):
-            return Star(expand(pat.inner, stack))
-        if isinstance(pat, Opt):
-            return Opt(expand(pat.inner, stack))
-        return pat
-
-    rules = []
-    for rule in grammar.rules:
-        if isinstance(rule, RejectRule):
-            rules.append(replace(rule, pattern=expand(rule.pattern, ())))
-        else:
-            rules.append(
-                replace(
-                    rule,
-                    target=expand(rule.target, ()),
-                    contexts=tuple(
-                        (expand(l, ()), expand(r, ())) for l, r in rule.contexts
-                    ),
+        def inline(leaf):
+            if not (isinstance(leaf, _NameRef) and leaf.name in grammar.constants):
+                return leaf
+            name = leaf.name
+            if name in stack:
+                cycle = " -> ".join(list(stack) + [name])
+                raise GrammarCompileError(
+                    f"cyclic constant definition: {cycle}", leaf.line, leaf.col
                 )
-            )
-    return Grammar(dict(grammar.constants), dict(grammar.classes), tuple(rules))
+            if name not in cache:
+                cache[name] = expand(grammar.constants[name], stack + (name,))
+            return cache[name]
+
+        return _map_leaves(pat, inline)
+
+    rules = tuple(_map_rule(rule, lambda pat: expand(pat, ())) for rule in grammar.rules)
+    return Grammar(dict(grammar.constants), dict(grammar.classes), rules)
+
+
+def _map_leaves(pat, leaf):
+    """`pat` rebuilt with `leaf(node)` in place of every node that is not a
+    sequence, union, star or option."""
+    if isinstance(pat, Seq):
+        return Seq(tuple(_map_leaves(p, leaf) for p in pat.parts))
+    if isinstance(pat, Alt):
+        return Alt(tuple(_map_leaves(p, leaf) for p in pat.parts))
+    if isinstance(pat, Star):
+        return Star(_map_leaves(pat.inner, leaf))
+    if isinstance(pat, Opt):
+        return Opt(_map_leaves(pat.inner, leaf))
+    return leaf(pat)
+
+
+def _map_rule(rule, f):
+    """`rule` with `f` applied to its pattern, or to its target and each
+    side of each context."""
+    if isinstance(rule, RejectRule):
+        return replace(rule, pattern=f(rule.pattern))
+    return replace(
+        rule,
+        target=f(rule.target),
+        contexts=tuple((f(left), f(right)) for left, right in rule.contexts),
+    )
 
 
 def _resolve(pat, alphabet, clb_texts):
@@ -489,41 +498,29 @@ def _resolve(pat, alphabet, clb_texts):
     becomes (any symbol)*.  A bare name is a class when the alphabet
     defines a class of that name, else a symbol.
     """
-    if isinstance(pat, Gap):
-        excluded = map(alphabet.id_of, clb_texts if pat.within_clause else ())
-        return Star(Syms(alphabet.id_set().difference(excluded)))
-    if isinstance(pat, _NameRef):
-        members = alphabet.classes.get(pat.name)
-        if members is not None:
-            return Syms(members)
-        if pat.name in alphabet:
-            return Syms(frozenset((alphabet.id_of(pat.name),)))
-        raise PatternError(f"unknown symbol or class {pat.name!r}", pat.line, pat.col)
-    if isinstance(pat, Seq):
-        return Seq(tuple(_resolve(p, alphabet, clb_texts) for p in pat.parts))
-    if isinstance(pat, Alt):
-        return Alt(tuple(_resolve(p, alphabet, clb_texts) for p in pat.parts))
-    if isinstance(pat, Star):
-        return Star(_resolve(pat.inner, alphabet, clb_texts))
-    if isinstance(pat, Opt):
-        return Opt(_resolve(pat.inner, alphabet, clb_texts))
-    raise TypeError(f"not a constant-free pattern: {pat!r}")
+
+    def atom(leaf):
+        if isinstance(leaf, Gap):
+            excluded = map(alphabet.id_of, clb_texts if leaf.within_clause else ())
+            return Star(Syms(alphabet.id_set().difference(excluded)))
+        if isinstance(leaf, _NameRef):
+            members = alphabet.classes.get(leaf.name)
+            if members is not None:
+                return Syms(members)
+            if leaf.name in alphabet:
+                return Syms(frozenset((alphabet.id_of(leaf.name),)))
+            raise PatternError(
+                f"unknown symbol or class {leaf.name!r}", leaf.line, leaf.col
+            )
+        raise TypeError(f"not a constant-free pattern: {leaf!r}")
+
+    return _map_leaves(pat, atom)
 
 
 def resolve_rule(rule, alphabet, clb_texts=DEFAULT_CLB):
     """Lower gaps and resolve every atom of a constant-free rule to symbol
     id sets over `alphabet`."""
-
-    def resolve(pat):
-        return _resolve(pat, alphabet, clb_texts)
-
-    if isinstance(rule, RejectRule):
-        return replace(rule, pattern=resolve(rule.pattern))
-    return replace(
-        rule,
-        target=resolve(rule.target),
-        contexts=tuple((resolve(l), resolve(r)) for l, r in rule.contexts),
-    )
+    return _map_rule(rule, lambda pat: _resolve(pat, alphabet, clb_texts))
 
 
 # ---------------------------------------------------------------------------
@@ -540,6 +537,31 @@ class CompiledRule:
 _MARK = "\x00mark"
 
 
+def rule_blocks(resolved, alphabet):
+    """The coarsest split of Σ into blocks such that Σ and every atom of
+    the resolved rule are unions of blocks, sorted by smallest symbol.
+
+    Returns `(blocks, atom_blocks)`: a tuple of frozensets of symbol ids,
+    and a dict from each atom's id set (and Σ's) to the sorted tuple of
+    the block numbers it is the union of.  A block alphabet needs the
+    five ids an `Alphabet` reserves, so a rule with fewer blocks is split
+    further, on the boundary symbols; no block is ever empty.
+    """
+    labels = {alphabet.id_set(): None}
+
+    def collect(atom):
+        labels[atom.ids] = None
+        return atom
+
+    _map_rule(resolved, lambda pat: _map_leaves(pat, collect))
+    labels = list(labels)
+    blocks, atom_blocks = partition(labels)
+    if len(blocks) < len(BOUNDARY_TEXTS):
+        reserved = [frozenset((sym,)) for sym in range(len(BOUNDARY_TEXTS))]
+        blocks, atom_blocks = partition(labels + reserved)
+    return tuple(blocks), atom_blocks
+
+
 def compile_rule(rule, alphabet, clb_texts=DEFAULT_CLB):
     """Compile one constant-free rule to a DFA accepting exactly the
     non-violating strings over `alphabet`.
@@ -550,15 +572,45 @@ def compile_rule(rule, alphabet, clb_texts=DEFAULT_CLB):
     symbol, the licensed markings are subtracted, and the markers are
     erased again.  Reject rules compile directly to the complement of
     sigma* pattern sigma*.
+
+    The construction runs over the rule's own blocks (`rule_blocks`), one
+    symbol per block, not over `alphabet`: symbols of one block occur in
+    exactly the same atoms, so no rule can tell them apart, and a string
+    is accepted iff its string of blocks is.  Each label of the minimal
+    block DFA is then expanded to the union of its blocks' symbols.  That
+    expansion is already the canonical minimal DFA over `alphabet`: the
+    two minimal DFAs have the same states and edges, and since block
+    numbers follow smallest symbols, sorting a state's edges by smallest
+    block sorts them by smallest symbol, so breadth-first numbering gives
+    the same states the same numbers.
     """
     resolved = resolve_rule(rule, alphabet, clb_texts)
+    blocks, atom_blocks = rule_blocks(resolved, alphabet)
+    relabel = {ids: Syms(frozenset(bs)) for ids, bs in atom_blocks.items()}
+    block_rule = _map_rule(
+        resolved, lambda pat: _map_leaves(pat, lambda atom: relabel[atom.ids])
+    )
+    block_alphabet = Alphabet(
+        f"\x00block{b}" for b in range(len(BOUNDARY_TEXTS), len(blocks))
+    )
+    if isinstance(block_rule, RejectRule):
+        block_dfa = _compile_reject(block_rule, block_alphabet)
+    else:
+        block_dfa = _compile_implication(block_rule, block_alphabet)
+    transitions = [
+        [(frozenset().union(*(blocks[b] for b in label)), dst) for label, dst in edges]
+        for edges in block_dfa.transitions
+    ]
+    return CompiledRule(rule.name, Dfa(alphabet, transitions, block_dfa.finals))
 
-    if isinstance(resolved, RejectRule):
-        occurs = Seq((_any_star(alphabet), resolved.pattern, _any_star(alphabet)))
-        dfa = complement(determinize(from_pattern(occurs, alphabet)), alphabet)
-        return CompiledRule(rule.name, minimize(dfa))
 
-    target = resolved.target
+def _compile_reject(rule, alphabet):
+    occurs = Seq((_any_star(alphabet), rule.pattern, _any_star(alphabet)))
+    return minimize(complement(determinize(from_pattern(occurs, alphabet)), alphabet))
+
+
+def _compile_implication(rule, alphabet):
+    target = rule.target
     if nullable(target):
         raise GrammarCompileError(
             f"rule {rule.name!r}: target accepts the empty string, "
@@ -578,7 +630,7 @@ def compile_rule(rule, alphabet, clb_texts=DEFAULT_CLB):
 
     marked_occurrence = Seq((base_star, mark_lit, target, mark_lit, base_star))
     bad = determinize(from_pattern(marked_occurrence, scratch))
-    for left, right in resolved.contexts:
+    for left, right in rule.contexts:
         licensed = Seq((base_star, left, mark_lit, base_star, mark_lit, right, base_star))
         licensed_dfa = determinize(from_pattern(licensed, scratch))
         bad = intersect(bad, complement(licensed_dfa, scratch))
@@ -586,8 +638,7 @@ def compile_rule(rule, alphabet, clb_texts=DEFAULT_CLB):
             break
     violating = determinize(erase_symbol(bad, mark))
     violating = Dfa(alphabet, violating.transitions, violating.finals)
-    dfa = complement(violating, alphabet)
-    return CompiledRule(rule.name, minimize(dfa))
+    return minimize(complement(violating, alphabet))
 
 
 def _any_star(alphabet):

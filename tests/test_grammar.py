@@ -1,13 +1,17 @@
+import hashlib
 import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fslat import grammar as grammar_module
 from fslat.automata import (
     Alphabet,
     PatternError,
+    Syms,
     complement,
+    dump,
     is_empty,
     language_equal,
 )
@@ -17,11 +21,16 @@ from fslat.grammar import (
     ImplicationRule,
     RejectRule,
     brute_force_accepts,
+    compile_grammar,
     compile_rule,
     expand_constants,
     grammar_text,
     parse_grammar,
+    resolve_rule,
+    rule_blocks,
 )
+
+from .util import exhaustive_strings
 
 SUBJECT_RULE = """
 FinMainVerb    = VFIN @MV ;
@@ -239,20 +248,22 @@ class TestPretty:
 RULE_SYMBOLS = ["A", "B", "C", "D", "E", "F"]
 
 
-def random_pattern(rng, depth=2):
+def random_pattern(rng, depth=2, symbols=RULE_SYMBOLS):
     roll = rng.random()
     if depth <= 0 or roll < 0.55:
-        return rng.choice(RULE_SYMBOLS)
+        return rng.choice(symbols)
     if roll < 0.7:
-        return f"( {random_pattern(rng, depth - 1)} | {random_pattern(rng, depth - 1)} )"
+        left = random_pattern(rng, depth - 1, symbols)
+        return f"( {left} | {random_pattern(rng, depth - 1, symbols)} )"
     if roll < 0.8:
-        return f"[ {random_pattern(rng, depth - 1)} ]"
+        return f"[ {random_pattern(rng, depth - 1, symbols)} ]"
     if roll < 0.9:
-        return f"{random_pattern(rng, 0)}*"
-    return f"{random_pattern(rng, depth - 1)} {random_pattern(rng, depth - 1)}"
+        return f"{random_pattern(rng, 0, symbols)}*"
+    left = random_pattern(rng, depth - 1, symbols)
+    return f"{left} {random_pattern(rng, depth - 1, symbols)}"
 
 
-def random_context_side(rng):
+def random_context_side(rng, symbols=RULE_SYMBOLS):
     kind = rng.random()
     if kind < 0.3:
         return ""
@@ -260,17 +271,17 @@ def random_context_side(rng):
         return ".."
     if kind < 0.55:
         return "..."
-    side = random_pattern(rng, 1)
+    side = random_pattern(rng, 1, symbols)
     if rng.random() < 0.3:
         side = ".. " + side
     return side
 
 
-def random_rule_text(rng):
-    target = random_pattern(rng, 2)
+def random_rule_text(rng, symbols=RULE_SYMBOLS):
+    target = random_pattern(rng, 2, symbols)
     n_contexts = rng.randint(1, 3)
     contexts = ", ".join(
-        f"{random_context_side(rng)} _ {random_context_side(rng)}"
+        f"{random_context_side(rng, symbols)} _ {random_context_side(rng, symbols)}"
         for _ in range(n_contexts)
     )
     return f"{target} => {contexts} ;"
@@ -301,3 +312,185 @@ def test_property_oracle_agreement(seed, word):
     assert compiled.automaton.accepts(symbols) == brute_force_accepts(
         rule, symbols, alph
     ), text
+
+
+# -- rules compiled over their own symbol blocks ------------------------------
+
+#: sha256 of `automata.dump` of the 48 demo rule DFAs concatenated in rule
+#: order, and of the demo alphabet's 211 texts in id order joined by
+#: newlines; both taken from the Σ-wide compiler that the block compiler
+#: replaced, so any change to a rule DFA or to Σ shows here.
+DEMO_RULES_SHA256 = "86a53cb40621e5d43781ff4a1dbdfc9c242dacd40fd88c157b92e028da4038db"
+DEMO_ALPHABET_SHA256 = "92db61d9aa71585bd7f8f8de50d7c8d15e8030fb8f39cf6bba1d65d1fc2c8f52"
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestDemoPinned:
+    def test_rule_dfas(self, demo_pipeline):
+        assert len(demo_pipeline.rules) == 48
+        dumps = "".join(dump(rule.automaton) for rule in demo_pipeline.rules)
+        assert sha256(dumps) == DEMO_RULES_SHA256
+
+    def test_alphabet_texts(self, demo_pipeline):
+        alphabet = demo_pipeline.alphabet
+        assert len(alphabet) == 211
+        texts = "\n".join(alphabet.text_of(i) for i in range(len(alphabet)))
+        assert sha256(texts) == DEMO_ALPHABET_SHA256
+
+
+def pattern_atoms(pat):
+    """Every `Syms` id set in a resolved pattern."""
+    if isinstance(pat, Syms):
+        return [pat.ids]
+    if hasattr(pat, "parts"):
+        return [ids for part in pat.parts for ids in pattern_atoms(part)]
+    return pattern_atoms(pat.inner)
+
+
+def resolved_atoms(resolved):
+    if isinstance(resolved, RejectRule):
+        return pattern_atoms(resolved.pattern)
+    atoms = pattern_atoms(resolved.target)
+    for left, right in resolved.contexts:
+        atoms += pattern_atoms(left) + pattern_atoms(right)
+    return atoms
+
+
+def check_blocks(resolved, alphabet):
+    """Assert that `rule_blocks` is a partition of Σ, sorted by smallest
+    symbol, of which Σ and every atom are unions; return the blocks."""
+    blocks, atom_blocks = rule_blocks(resolved, alphabet)
+    sigma = alphabet.id_set()
+    assert all(blocks)
+    assert sum(len(block) for block in blocks) == len(sigma)
+    assert frozenset().union(*blocks) == sigma
+    assert [min(block) for block in blocks] == sorted(min(block) for block in blocks)
+    for atom in [sigma, *resolved_atoms(resolved)]:
+        inside = [b for b, block in enumerate(blocks) if block <= atom]
+        assert all(block <= atom or block.isdisjoint(atom) for block in blocks)
+        assert frozenset().union(*(blocks[b] for b in inside)) == atom
+        assert atom_blocks[atom] == tuple(inside)
+    return blocks
+
+
+class TestRuleBlocks:
+    def test_classes_gaps_and_clb(self):
+        source = "CLB := C @@ ;\nK := A B ;\nL := B C ;\nA => K .. _ ... , _ L D ;"
+        grammar = expand_constants(parse_grammar(source))
+        alph = Alphabet(["A", "B", "C", "D", "E"], grammar.classes)
+        resolved = resolve_rule(grammar.rules[0], alph, grammar.clb_texts)
+        blocks = check_blocks(resolved, alph)
+        I = alph.id_of
+        # atoms A, K, L, D and the `..` gap (Σ minus C and @@) split Σ into
+        # {@@}, {A}, {B}, {C}, {D} and the rest
+        assert blocks == (
+            frozenset((I("@@"),)),
+            frozenset(map(I, ("@", "@/", "@<", "@>", "E"))),
+            frozenset((I("A"),)),
+            frozenset((I("B"),)),
+            frozenset((I("C"),)),
+            frozenset((I("D"),)),
+        )
+
+    def test_coarsest(self, demo_pipeline, demo_grammar):
+        alph = demo_pipeline.alphabet
+        grammar = expand_constants(demo_grammar)
+        for rule in grammar.rules:
+            resolved = resolve_rule(rule, alph, grammar.clb_texts)
+            blocks = check_blocks(resolved, alph)
+            # the coarsest blocks: symbols grouped by the atoms they are in
+            atoms = resolved_atoms(resolved)
+            groups = {}
+            for sym in sorted(alph.id_set()):
+                signature = tuple(sym in atom for atom in atoms)
+                groups.setdefault(signature, set()).add(sym)
+            coarsest = sorted(map(frozenset, groups.values()), key=min)
+            if len(coarsest) >= 5:
+                assert list(blocks) == coarsest, rule.name
+            else:  # refined up to the five ids a block alphabet reserves
+                assert len(blocks) >= 5, rule.name
+                assert all(any(b <= g for g in coarsest) for b in blocks), rule.name
+
+    def test_fewer_than_five_blocks_refined(self):
+        alph = Alphabet(["A", "B", "C"])
+        grammar = expand_constants(parse_grammar("A => _ A ;"))
+        resolved = resolve_rule(grammar.rules[0], alph)
+        # A and the rest of Σ would be two blocks; the block alphabet needs five
+        blocks = check_blocks(resolved, alph)
+        assert len(blocks) >= 5
+        compiled = compile_rule(grammar.rules[0], alph)
+        for w in exhaustive_strings(sorted(alph.id_set()), 3):
+            assert compiled.automaton.accepts(w) == brute_force_accepts(
+                grammar.rules[0], w, alph
+            ), w
+
+
+def test_compile_grammar_calls_compile_rule_once_per_rule(monkeypatch):
+    grammar = parse_grammar("K = A B ;\nB => A _ ;\n! C K ;\nC => _ .. A ;")
+    calls = []
+    original = grammar_module.compile_rule
+
+    def counting(rule, *args):
+        calls.append(rule.name)
+        return original(rule, *args)
+
+    monkeypatch.setattr(grammar_module, "compile_rule", counting)
+    compiled = compile_grammar(grammar, Alphabet(["A", "B", "C"]))
+    assert calls == [rule.name for rule in grammar.rules]
+    assert [rule.name for rule in compiled] == calls
+
+
+# Each case: the alphabet's texts, the grammar lines before the rule, the
+# symbols and class names the random rule may use, and the probe symbols
+# whose every string of length up to 4 is checked against the oracle.
+BLOCK_CASES = {
+    "small": (["A", "B", "C"], "", ["A", "B", "C"], ["A", "B", "C", "@/", "@"]),
+    "wide": ([f"S{i}" for i in range(55)], "", None, ["S0", "S54", "@/", "@"]),
+    "classes": (
+        ["A", "B", "C", "D"],
+        "K := A B ;\nL := B C ;\n",
+        ["A", "D", "K", "L"],
+        ["A", "B", "C", "D", "@<"],
+    ),
+    "own_clb": (
+        ["A", "B", "C"],
+        "CLB := B @@ ;\n",
+        ["A", "B", "C"],
+        ["A", "B", "C", "@/", "@@"],
+    ),
+}
+
+
+def random_block_rule_text(rng, symbols):
+    if rng.random() < 0.3:
+        pattern = random_pattern(rng, 2, symbols)
+        if rng.random() < 0.5:
+            gap = rng.choice(["..", "..."])
+            pattern = f"{pattern} {gap} {random_pattern(rng, 1, symbols)}"
+        return f"! {pattern} ;"
+    return random_rule_text(rng, symbols)
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 10**9))
+def test_property_block_compile_matches_oracle(case, seed):
+    texts, header, symbols, probe = BLOCK_CASES[case]
+    rng = random.Random(seed)
+    if symbols is None:  # a rule naming one or two of the 60 symbols
+        symbols = rng.sample(texts, rng.randint(1, 2))
+        probe = [*symbols, *probe]
+    grammar = expand_constants(parse_grammar(header + random_block_rule_text(rng, symbols)))
+    alph = Alphabet(texts, grammar.classes)
+    rule = grammar.rules[0]
+    try:
+        compiled = compile_rule(rule, alph, grammar.clb_texts)
+    except GrammarCompileError:
+        return  # empty-string or empty-language targets are rejected
+    for w in exhaustive_strings([alph.id_of(t) for t in probe], 4):
+        assert compiled.automaton.accepts(w) == brute_force_accepts(
+            rule, w, alph, grammar.clb_texts
+        ), (rule.name, w)
