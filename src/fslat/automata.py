@@ -47,6 +47,10 @@ class AlphabetMismatchError(AutomataError):
 #: Reserved boundary symbols, always interned first (ids 0..4).
 BOUNDARY_TEXTS = ("@@", "@", "@/", "@<", "@>")
 
+#: The clause-breaking boundary symbols: the default members of the `CLB`
+#: class, which the within-clause gap `..` may not cross.
+CLAUSE_BREAK_TEXTS = ("@/", "@<", "@>", "@@")
+
 
 class Alphabet:
     """Bijective interning of non-empty symbol texts to dense integer ids,
@@ -56,6 +60,8 @@ class Alphabet:
     Closed by construction: the boundary symbols take ids 0..4, `texts`
     follow in order (repeats keep their first id), and `classes` maps each
     class name to member texts, every one of which must be a symbol.
+    There is always a `CLB` class, the symbols the within-clause gap may
+    not cross: `CLAUSE_BREAK_TEXTS` unless `classes` has its own `CLB`.
     Nothing adds a symbol or a class afterwards.
     """
 
@@ -70,7 +76,7 @@ class Alphabet:
                 self._texts.append(text)
         self.classes = MappingProxyType({
             name: frozenset(map(self.id_of, members))
-            for name, members in (classes or {}).items()
+            for name, members in {"CLB": CLAUSE_BREAK_TEXTS, **(classes or {})}.items()
         })
 
     def id_of(self, text):
@@ -93,8 +99,8 @@ class Alphabet:
 
     def extended(self, text):
         """A new alphabet with `text` as one more symbol.  Every existing
-        symbol keeps its id, so resolved labels carry over; the copy has no
-        classes, and this alphabet is left as it is."""
+        symbol keeps its id, so resolved labels carry over; the copy has only
+        the default `CLB` class, and this alphabet is left as it is."""
         return Alphabet((*self._texts, text))
 
 

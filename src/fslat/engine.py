@@ -20,7 +20,7 @@ from .automata import (
     enumerate_strings,
     is_empty,
 )
-from .grammar import DEFAULT_CLB, compile_grammar, grammar_symbol_texts
+from .grammar import compile_grammar, grammar_symbol_texts
 from .lattice import (
     LatticeShapeError,
     SentenceLattice,
@@ -30,11 +30,7 @@ from .lattice import (
     map_syntax,
     reading_count,
 )
-from .lexicon import OPEN_CLASS_GUESSES, lookup
-
-#: Punctuation categories that lookups can synthesize; interned up front so
-#: the compiled rules and every lattice share one closed alphabet.
-_PUNCT_TAGS = ("FULLSTOP", "COMMA", "QUESTION", "EXCLAMATION", "SEMICOLON", "PUNCT")
+from .lexicon import OPEN_CLASS_GUESSES, PUNCT_TAGS, lookup
 
 #: No longer used by the engine, whose per-rule results are minimal by
 #: construction.  Kept only because the benchmark's automata replay
@@ -290,10 +286,15 @@ def build_alphabet(lexicon, smap, grammar, registry):
     punctuation categories, every lexicon marker/tag/word symbol, the
     unknown-word symbol, map pattern symbols and grammar symbols.
 
-    Also defines the builtin classes WORD, MARKER, MORPH, FTAG, CTAG,
-    BOUNDARY and CLB (the within-clause gap exclusion set, unless the
-    grammar overrides it)."""
-    synthesized = [*_PUNCT_TAGS, *(tag for tags in OPEN_CLASS_GUESSES for tag in tags)]
+    Also defines the builtin classes WORD, MARKER, MORPH, FTAG, CTAG and
+    BOUNDARY.  The grammar's classes come last and may override them or
+    the alphabet's default CLB (the set the within-clause gap may not
+    cross).  A name the grammar uses as a class is not made a symbol.
+
+    The punctuation tags and open-class guesses that lookups can
+    synthesize are interned up front, so the compiled rules and every
+    lattice share one closed alphabet."""
+    synthesized = [*PUNCT_TAGS, *(tag for tags in OPEN_CLASS_GUESSES for tag in tags)]
     markers = []
     morphs = []
     words = []
@@ -328,11 +329,9 @@ def build_alphabet(lexicon, smap, grammar, registry):
         "FTAG": registry.function_tags,
         "CTAG": registry.clause_tags,
         "BOUNDARY": registry.boundary_tags,
-        "CLB": DEFAULT_CLB,
     }
     # grammar-level definitions last so they can override the builtins
-    # (notably CLB, the within-clause gap exclusion set)
     if grammar is not None:
-        texts.extend(grammar_symbol_texts(grammar))
+        texts.extend(grammar_symbol_texts(grammar, classes))
         classes.update(grammar.classes)
     return Alphabet(texts, classes)

@@ -20,6 +20,7 @@ it contains no occurrence of its pattern at all.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 from .automata import (
@@ -64,11 +65,6 @@ class GrammarCompileError(GrammarError):
     pass
 
 
-#: Default clause-breaking symbols excluded by the within-clause gap `..`.
-#: A grammar can override this set by defining a class named CLB.
-DEFAULT_CLB = ("@/", "@<", "@>", "@@")
-
-
 @dataclass(frozen=True)
 class Gap(Pat):
     """`..` (within_clause=True) or `...` (within_clause=False)."""
@@ -96,10 +92,6 @@ class Grammar:
     constants: dict
     classes: dict  # name -> tuple of symbol texts
     rules: tuple
-
-    @property
-    def clb_texts(self):
-        return tuple(self.classes.get("CLB", DEFAULT_CLB))
 
 
 # ---------------------------------------------------------------------------
@@ -490,18 +482,19 @@ def _map_rule(rule, f):
     )
 
 
-def _resolve(pat, alphabet, clb_texts):
+def _resolve(pat, alphabet):
     """Rewrite a constant-free pattern so every atom is a `Syms` node over
     `alphabet`; the one place where names and gaps become symbol ids.
 
-    `..` becomes (any symbol outside the clause-breaking set)* and `...`
+    `..` becomes (any symbol outside the alphabet's `CLB` class)* and `...`
     becomes (any symbol)*.  A bare name is a class when the alphabet
-    defines a class of that name, else a symbol.
+    defines a class of that name, else a symbol; so a bare `CLB` and the
+    `..` gap always agree on the clause-breaking set.
     """
 
     def atom(leaf):
         if isinstance(leaf, Gap):
-            excluded = map(alphabet.id_of, clb_texts if leaf.within_clause else ())
+            excluded = alphabet.classes["CLB"] if leaf.within_clause else ()
             return Star(Syms(alphabet.id_set().difference(excluded)))
         if isinstance(leaf, _NameRef):
             members = alphabet.classes.get(leaf.name)
@@ -517,10 +510,11 @@ def _resolve(pat, alphabet, clb_texts):
     return _map_leaves(pat, atom)
 
 
-def resolve_rule(rule, alphabet, clb_texts=DEFAULT_CLB):
+def resolve_rule(rule, alphabet):
     """Lower gaps and resolve every atom of a constant-free rule to symbol
-    id sets over `alphabet`."""
-    return _map_rule(rule, lambda pat: _resolve(pat, alphabet, clb_texts))
+    id sets over `alphabet`, whose classes (its `CLB` among them) bind
+    every class name."""
+    return _map_rule(rule, lambda pat: _resolve(pat, alphabet))
 
 
 # ---------------------------------------------------------------------------
@@ -562,9 +556,9 @@ def rule_blocks(resolved, alphabet):
     return tuple(blocks), atom_blocks
 
 
-def compile_rule(rule, alphabet, clb_texts=DEFAULT_CLB):
+def compile_rule(rule, alphabet):
     """Compile one constant-free rule to a DFA accepting exactly the
-    non-violating strings over `alphabet`.
+    non-violating strings over `alphabet`, resolved by `resolve_rule`.
 
     Implication rules use a marker construction: violating strings are
     those factorizable as u x v with x in the target and no context
@@ -584,7 +578,7 @@ def compile_rule(rule, alphabet, clb_texts=DEFAULT_CLB):
     block sorts them by smallest symbol, so breadth-first numbering gives
     the same states the same numbers.
     """
-    resolved = resolve_rule(rule, alphabet, clb_texts)
+    resolved = resolve_rule(rule, alphabet)
     blocks, atom_blocks = rule_blocks(resolved, alphabet)
     relabel = {ids: Syms(frozenset(bs)) for ids, bs in atom_blocks.items()}
     block_rule = _map_rule(
@@ -648,38 +642,28 @@ def _any_star(alphabet):
 def compile_grammar(grammar, alphabet):
     """Expand constants and compile every rule over `alphabet`."""
     expanded = expand_constants(grammar)
-    clb = expanded.clb_texts
-    return tuple(compile_rule(rule, alphabet, clb) for rule in expanded.rules)
+    return tuple(compile_rule(rule, alphabet) for rule in expanded.rules)
 
 
-def grammar_symbol_texts(grammar):
-    """Every symbol text mentioned by a grammar's rules, classes and
-    constants; used to seed the pipeline alphabet."""
-    texts = set()
+def grammar_symbol_texts(grammar, class_names):
+    """Every symbol text a grammar mentions, sorted; used to seed the
+    pipeline alphabet.  That is every member of a grammar class, and every
+    name in a rule or constant that the alphabet will not bind as a class
+    or the grammar as a constant.  `class_names` are the alphabet's
+    classes besides the grammar's own and `CLB`, which every alphabet
+    has."""
+    bound = {"CLB", *class_names, *grammar.classes, *grammar.constants}
+    texts = {member for members in grammar.classes.values() for member in members}
 
-    def walk(pat):
-        if isinstance(pat, _NameRef):
-            if pat.name not in grammar.constants and pat.name not in grammar.classes:
-                texts.add(pat.name)
-        elif isinstance(pat, (Seq, Alt)):
-            for p in pat.parts:
-                walk(p)
-        elif isinstance(pat, (Star, Opt)):
-            walk(pat.inner)
+    def collect(leaf):
+        if isinstance(leaf, _NameRef) and leaf.name not in bound:
+            texts.add(leaf.name)
+        return leaf
 
     for pattern in grammar.constants.values():
-        walk(pattern)
-    for members in grammar.classes.values():
-        texts.update(members)
+        _map_leaves(pattern, collect)
     for rule in grammar.rules:
-        if isinstance(rule, RejectRule):
-            walk(rule.pattern)
-        else:
-            walk(rule.target)
-            for left, right in rule.contexts:
-                walk(left)
-                walk(right)
-    texts.update(grammar.clb_texts)
+        _map_rule(rule, lambda pat: _map_leaves(pat, collect))
     return sorted(texts)
 
 
@@ -741,8 +725,16 @@ class _Matcher:
         return result
 
 
-def brute_force_accepts(rule, symbols, alphabet, clb_texts=DEFAULT_CLB):
-    """Reference decision: does `symbols` survive `rule`?
+@functools.lru_cache(maxsize=256)
+def _oracle_rule(rule, alphabet):
+    """`resolve_rule` for the oracle, which asks for the same rule and
+    alphabet once per string it checks."""
+    return resolve_rule(rule, alphabet)
+
+
+def brute_force_accepts(rule, symbols, alphabet):
+    """Reference decision: does `symbols` survive `rule`, resolved over
+    `alphabet` as `compile_rule` resolves it?
 
     Direct evaluation of the factorization semantics; quadratic per string
     and intended for strings up to a few hundred symbols.
@@ -750,7 +742,7 @@ def brute_force_accepts(rule, symbols, alphabet, clb_texts=DEFAULT_CLB):
     symbols = tuple(symbols)
     if len(symbols) > 200:
         raise ValueError("oracle bound exceeded (200 symbols)")
-    resolved = resolve_rule(rule, alphabet, clb_texts)
+    resolved = _oracle_rule(rule, alphabet)
     matcher = _Matcher(symbols)
 
     if isinstance(resolved, RejectRule):
@@ -775,113 +767,3 @@ def brute_force_accepts(rule, symbols, alphabet, clb_texts=DEFAULT_CLB):
             if not licensed:
                 return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# Canonical form and pretty printing
-# ---------------------------------------------------------------------------
-
-
-def normalize_pattern(pat):
-    """Canonical pattern form: source locations dropped, nested sequences
-    and unions flattened, singleton wrappers removed.  Two patterns are
-    structurally identical iff their normal forms are equal."""
-    if isinstance(pat, _NameRef):
-        return _NameRef(pat.name)
-    if isinstance(pat, (Syms, Gap)):
-        return pat
-    if isinstance(pat, Seq):
-        parts = []
-        for part in map(normalize_pattern, pat.parts):
-            if isinstance(part, Seq):
-                parts.extend(part.parts)
-            else:
-                parts.append(part)
-        if len(parts) == 1:
-            return parts[0]
-        return Seq(tuple(parts))
-    if isinstance(pat, Alt):
-        parts = []
-        for part in map(normalize_pattern, pat.parts):
-            if isinstance(part, Alt):
-                parts.extend(part.parts)
-            else:
-                parts.append(part)
-        if len(parts) == 1:
-            return parts[0]
-        return Alt(tuple(parts))
-    if isinstance(pat, Star):
-        return Star(normalize_pattern(pat.inner))
-    if isinstance(pat, Opt):
-        return Opt(normalize_pattern(pat.inner))
-    raise TypeError(f"not a pattern: {pat!r}")
-
-
-def normalize_grammar(grammar):
-    """Canonical grammar form; rule names are derived from source slices
-    and are replaced by positions here."""
-    rules = []
-    for index, rule in enumerate(grammar.rules):
-        if isinstance(rule, RejectRule):
-            rules.append(RejectRule(f"r{index}", normalize_pattern(rule.pattern)))
-        else:
-            rules.append(
-                ImplicationRule(
-                    f"r{index}",
-                    normalize_pattern(rule.target),
-                    tuple(
-                        (normalize_pattern(l), normalize_pattern(r))
-                        for l, r in rule.contexts
-                    ),
-                )
-            )
-    constants = {k: normalize_pattern(v) for k, v in grammar.constants.items()}
-    return Grammar(constants, dict(grammar.classes), tuple(rules))
-
-
-def pattern_text(pat):
-    return _fmt(pat, 0)
-
-
-def _fmt(pat, prec):
-    # prec levels: 0 union, 1 sequence, 2 postfix/atom
-    if isinstance(pat, _NameRef):
-        return pat.name
-    if isinstance(pat, Gap):
-        return ".." if pat.within_clause else "..."
-    if isinstance(pat, Syms):
-        return f"<syms {sorted(pat.ids)}>"
-    if isinstance(pat, Seq):
-        if not pat.parts:
-            return "()" if prec >= 2 else ""
-        body = " ".join(_fmt(p, 1) for p in pat.parts)
-        return f"( {body} )" if prec >= 2 and len(pat.parts) > 1 else body
-    if isinstance(pat, Alt):
-        body = " | ".join(_fmt(p, 1) for p in pat.parts)
-        return f"( {body} )" if prec >= 1 else body
-    if isinstance(pat, Star):
-        return f"{_fmt(pat.inner, 2)}*"
-    if isinstance(pat, Opt):
-        return f"[ {_fmt(pat.inner, 0)} ]"
-    raise TypeError(f"not a pattern: {pat!r}")
-
-
-def grammar_text(grammar):
-    """Render a grammar back to concrete syntax; reparsing the output gives
-    a structurally identical grammar."""
-    lines = []
-    for name, members in grammar.classes.items():
-        lines.append(f"{name} := {' '.join(members)} ;")
-    for name, pattern in grammar.constants.items():
-        lines.append(f"{name} = {pattern_text(pattern)} ;")
-    for rule in grammar.rules:
-        if isinstance(rule, RejectRule):
-            lines.append(f"! {pattern_text(rule.pattern)} ;")
-        else:
-            chunks = []
-            for left, right in rule.contexts:
-                lt = pattern_text(left)
-                rt = pattern_text(right)
-                chunks.append(f"{lt} _ {rt}".strip())
-            lines.append(f"{pattern_text(rule.target)} => {' , '.join(chunks)} ;")
-    return "\n".join(lines) + "\n"

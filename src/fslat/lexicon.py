@@ -43,6 +43,10 @@ PUNCT_CATEGORIES = {
     ";": "SEMICOLON",
 }
 
+#: Every tag a punctuation reading can carry: the categories above, then
+#: the fallback for any other punctuation.
+PUNCT_TAGS = (*PUNCT_CATEGORIES.values(), "PUNCT")
+
 #: Splittable sentence punctuation and the subset that ends a sentence.
 SPLIT_PUNCT = ".?!,;"
 SENTENCE_END = ".?!"
@@ -98,7 +102,7 @@ def surface_key(headword):
 
 
 def _punct_reading(key):
-    tag = PUNCT_CATEGORIES.get(key, "PUNCT")
+    tag = PUNCT_CATEGORIES.get(key, PUNCT_TAGS[-1])
     return MorphReading(key, (), (tag,))
 
 

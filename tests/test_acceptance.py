@@ -165,7 +165,7 @@ def test_acceptance_2_end_to_end_oracle_equivalence():
         expect = set()
         for word in everything:
             if all(
-                brute_force_accepts(rule, word, pipeline.alphabet, expanded.clb_texts)
+                brute_force_accepts(rule, word, pipeline.alphabet)
                 for rule in expanded.rules
             ):
                 expect.add(word)
@@ -295,15 +295,15 @@ def _fixture_alphabet():
 def _check_rule(text, positives, negatives, alphabet):
     grammar = expand_constants(parse_grammar(text))
     rule = grammar.rules[-1]
-    compiled = compile_rule(rule, alphabet, grammar.clb_texts)
+    compiled = compile_rule(rule, alphabet)
     for case in positives:
         word = [alphabet.id_of(t) for t in case.split()]
         assert compiled.automaton.accepts(word), f"should accept: {case}"
-        assert brute_force_accepts(rule, word, alphabet, grammar.clb_texts)
+        assert brute_force_accepts(rule, word, alphabet)
     for case in negatives:
         word = [alphabet.id_of(t) for t in case.split()]
         assert not compiled.automaton.accepts(word), f"should reject: {case}"
-        assert not brute_force_accepts(rule, word, alphabet, grammar.clb_texts)
+        assert not brute_force_accepts(rule, word, alphabet)
 
 
 def test_acceptance_6_rule_fixtures():

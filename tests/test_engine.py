@@ -133,7 +133,7 @@ class TestApplyGrammar:
             w
             for w in everything
             if all(
-                brute_force_accepts(rule, w, pipe.alphabet, expanded.clb_texts)
+                brute_force_accepts(rule, w, pipe.alphabet)
                 for rule in expanded.rules
             )
         }
