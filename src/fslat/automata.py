@@ -9,8 +9,9 @@ A DFA's start state is always state 0 and its states are numbered in
 breadth-first discovery order with per-state edges sorted by smallest
 symbol id, so structurally identical inputs produce identical automata.
 Only `Dfa` values are numbered so.  A `Chain`, which folds a sequence of
-intersections over an acyclic language, keeps each step's states in the
-order its walk settled them and is numbered once, at the end.
+intersections over an acyclic language, is minimal, trim and counted from
+the start, keeps each step's states in the order its walk settled them
+and is numbered once, at the end.
 """
 
 from __future__ import annotations
@@ -658,56 +659,45 @@ def intersect(a, b):
 class Chain:
     """An acyclic language on its way through a chain of intersections.
 
-    A chain built by a step holds the register's classes in the order
-    the walk settled them: `transitions[c]` lists class `c`'s `(label,
-    successor)` edges, successors have smaller ids than `c`, `finals` is
-    the set of accepting classes, `start` the start class and `count` the
-    number of strings.  Such a chain is minimal and trim but not
-    canonically numbered; `dfa()` numbers it, once, at the end.
+    A chain holds the register's classes in the order the walk settled
+    them: `transitions[c]` lists class `c`'s `(label, successor)` edges,
+    successors have smaller ids than `c`, `finals` is the set of accepting
+    classes, `start` the start class and `count` the number of strings.  A
+    chain is minimal and trim but not canonically numbered; `dfa()`
+    numbers it, once, at the end.
 
-    `Chain(dfa)` starts a chain from an acyclic DFA that is not known to
-    be minimal: its first step always runs the product, and until then
-    `dfa()` returns that DFA itself and `count` is None.
+    `Chain(dfa)` reduces, trims and counts an acyclic DFA by the walk a
+    step runs, against a one-state Sigma* DFA.  Raises
+    InfiniteLanguageError if the walk meets a cycle.
     """
 
-    __slots__ = ("alphabet", "transitions", "finals", "start", "count", "_source")
+    __slots__ = ("alphabet", "transitions", "finals", "start", "count")
 
     def __init__(self, dfa):
-        self.alphabet = dfa.alphabet
-        self.transitions = dfa.transitions
-        self.finals = dfa.finals
-        self.start = 0
-        self.count = None
-        self._source = dfa
+        alphabet = dfa.alphabet
+        sigma_star = Dfa(alphabet, (((alphabet.id_set(), 0),),), (0,))
+        self._settle(alphabet, _register_product(dfa, 0, sigma_star))
 
-    @classmethod
-    def _settled(cls, alphabet, transitions, finals, start, count):
-        chain = cls.__new__(cls)
-        chain.alphabet = alphabet
-        chain.transitions = transitions
-        chain.finals = finals
-        chain.start = start
-        chain.count = count
-        chain._source = None
-        return chain
+    def _settle(self, alphabet, walked):
+        self.alphabet = alphabet
+        self.transitions, self.finals, self.start, self.count = walked
+        return self
 
     def intersect(self, b):
-        """`(chain, count)` for L(self) & L(b).  When this chain came from
-        a step and its language is contained in L(b), that is this chain
-        itself and its count; otherwise one register walk over the product
-        (see `intersect_minimal`).  Raises InfiniteLanguageError if the
-        walk meets a cycle."""
+        """`(chain, count)` for L(self) & L(b).  When L(self) is contained
+        in L(b), that is this chain itself and its count; otherwise one
+        register walk over the product (`_register_product`).  Raises
+        InfiniteLanguageError if the walk meets a cycle."""
         if b.alphabet is not self.alphabet:
             raise AlphabetMismatchError("intersect requires a shared alphabet")
-        if self._source is None and _contained(self, b):
+        if _contained(self, b):
             return self, self.count
-        chain = _register_product(self, b)
+        walked = _register_product(self, self.start, b)
+        chain = Chain.__new__(Chain)._settle(self.alphabet, walked)
         return chain, chain.count
 
     def dfa(self):
         """The canonically numbered DFA of the chain's language."""
-        if self._source is not None:
-            return self._source
         transitions = self.transitions
         finals = self.finals
         return _canonical(
@@ -743,14 +733,28 @@ def _contained(chain, b):
     return True
 
 
-def _register_product(a, b):
-    """The product walk behind `Chain.intersect`: the chain of L(a) & L(b)
-    for a chain `a`."""
+def _register_product(a, start, b):
+    """`(transitions, finals, start, count)` of the chain of L(a) & L(b),
+    for `a` a DFA or chain entered at state `start`, in one product walk.
+
+    Product pairs are walked depth-first with an explicit stack.  A pair is
+    settled once all its successors are: edges into dead pairs are dropped,
+    the rest are merged by the successor's class, and `(final, edges)` is
+    looked up in a register of classes, so pairs with equal right languages
+    share one class (Daciuk, Mihov, Watson & Watson 2000).  A pair with no
+    path to a final state dies on the spot.  Each class carries its path
+    count.  The resulting chain's `dfa()` equals
+    `reduce_acyclic(intersect(a, b))`, and is `empty_dfa` when nothing
+    survives.
+
+    Raises InfiniteLanguageError if the walk meets a cycle, which the
+    product of an acyclic `a` has none of.
+    """
     product = _product_edges(a, b)
     a_finals = a.finals
     b_finals = b.finals
     on_stack = -2  # class of a pair whose successors are still being walked
-    root = (a.start, 0)
+    root = (start, 0)
     cls = {root: on_stack}  # pair -> class id, or -1 once known dead
     register = {}  # (final, frozenset of (class, label)) -> class id
     transitions = []  # merged edges of each class, by class id
@@ -768,7 +772,7 @@ def _register_product(a, b):
                 stack.append((target, target_edges, iter(target_edges)))
                 break
             if c == on_stack:
-                raise InfiniteLanguageError("intersect_minimal met a cycle")
+                raise InfiniteLanguageError("the product walk met a cycle")
         else:  # every successor is settled: settle `pair`
             stack.pop()
             merged = {}
@@ -795,31 +799,8 @@ def _register_product(a, b):
             cls[pair] = c
     start = cls[root]
     if start < 0:  # nothing survives: one non-accepting class, as empty_dfa
-        return Chain._settled(a.alphabet, [[]], frozenset(), 0, 0)
-    return Chain._settled(a.alphabet, transitions, finals, start, counts[start])
-
-
-def intersect_minimal(a, b):
-    """The minimal DFA for L(a) & L(b) and the number of strings it
-    accepts, in one walk over the product; `a` must be acyclic.
-
-    Product pairs are walked depth-first with an explicit stack.  A pair is
-    settled once all its successors are: edges into dead pairs are dropped,
-    the rest are merged by the successor's class, and `(final, edges)` is
-    looked up in a register of classes, so pairs with equal right languages
-    share one class (Daciuk, Mihov, Watson & Watson 2000).  A pair with no
-    path to a final state dies on the spot.  Each class carries its path
-    count.  The DFA equals `reduce_acyclic(intersect(a, b))`, and is
-    `empty_dfa` when nothing survives.
-
-    This is one step of a `Chain` followed by its `dfa()`; a chain of
-    several rules numbers its states only once, at the end.
-
-    Raises InfiniteLanguageError if the walk meets a cycle, which the
-    product of an acyclic `a` has none of.
-    """
-    chain, count = Chain(a).intersect(b)
-    return chain.dfa(), count
+        return [[]], frozenset(), 0, 0
+    return transitions, finals, start, counts[start]
 
 
 def is_empty(dfa):

@@ -13,13 +13,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .automata import (
-    Alphabet,
-    Chain,
-    count_paths,
-    enumerate_strings,
-    is_empty,
-)
+from .automata import Alphabet, Chain, enumerate_strings
 from .grammar import compile_grammar, grammar_symbol_texts
 from .lattice import (
     LatticeShapeError,
@@ -29,6 +23,7 @@ from .lattice import (
     default_registry,
     map_syntax,
     reading_count,
+    word_symbol,
 )
 from .lexicon import OPEN_CLASS_GUESSES, PUNCT_TAGS, lookup
 
@@ -99,19 +94,19 @@ def apply_grammar(lattice, rules):
     the surviving lattice and a trace of per-rule reading counts and
     timings; the surviving set does not depend on the order.
 
-    The rules are folded over one `automata.Chain`.  A step builds the
-    minimal automaton of the product and its path count in a single walk,
-    or, when the rule accepts everything that is left, costs only a
-    containment check and returns the chain as it was.  States are
-    numbered once, for the surviving automaton; with no rules that is the
-    lattice's own.
+    The rules are folded over one `automata.Chain`, which starts as the
+    lattice reduced and counted.  A step builds the minimal automaton of
+    the product and its path count in a single walk, or, when the rule
+    accepts everything that is left, costs only a containment check and
+    returns the chain as it was.  States are numbered once, for the
+    surviving automaton; with no rules that is the reduced lattice.
     """
     for rule in rules:
         if rule.automaton.alphabet is not lattice.automaton.alphabet:
             raise RuleAlphabetError(rule.name)
 
     chain = Chain(lattice.automaton)
-    before = count_paths(lattice.automaton)
+    before = chain.count
     steps = []
     for rule in rules:
         t0 = time.perf_counter()
@@ -145,10 +140,11 @@ def diagnose_empty(lattice, rules):
     alone already leave nothing; leaving out rule i resumes from the
     chain of the rules before it.
     """
-    if is_empty(lattice.automaton):
+    start = Chain(lattice.automaton)
+    if not start.count:
         return ()
     rules = tuple(rules)
-    prefixes = [Chain(lattice.automaton)]  # prefixes[i]: the lattice and rules[:i]
+    prefixes = [start]  # prefixes[i]: the lattice and rules[:i]
     for rule in rules:
         current, count = prefixes[-1].intersect(rule.automaton)
         if not count:
@@ -256,16 +252,10 @@ class Pipeline:
         return cls(lexicon, smap, grammar, registry, alphabet, rules)
 
     def cohorts_for(self, tokens):
-        mapped = []
-        for token in tokens:
-            cohort = lookup(self.lexicon, token)
-            word_symbol = f"<{token.lower()}>"
-            if word_symbol not in self.alphabet:
-                word_symbol = UNKNOWN_WORD_SYMBOL
-            mapped.append(
-                map_syntax(cohort, self.smap, self.registry, word_symbol=word_symbol)
-            )
-        return tuple(mapped)
+        return tuple(
+            map_syntax(lookup(self.lexicon, token), self.smap, self.registry)
+            for token in tokens
+        )
 
     def lattice_for(self, tokens):
         return build_lattice(self.cohorts_for(tokens), self.registry, self.alphabet)
@@ -313,7 +303,7 @@ def build_alphabet(lexicon, smap, grammar, registry):
                 note(markers, marker)
             for tag in reading.tags:
                 note(morphs, tag)
-        note(words, f"<{key.lower()}>")
+        note(words, word_symbol(key))
     note(words, UNKNOWN_WORD_SYMBOL)
 
     texts = [*registry.function_tags, *registry.clause_tags, *synthesized]

@@ -10,7 +10,8 @@ Concrete syntax (one statement per `;`, `#` starts a comment):
 Pattern operators: juxtaposition concatenates, `|` is union, postfix `*`
 is Kleene star, `(...)` groups, `[...]` is option, `..` is the
 within-clause gap, `...` the anywhere gap, and `_` marks the target
-position inside a rule context.
+position inside a rule context.  Groups, options and constant references
+nest at most `MAX_NESTING` levels deep.
 
 An implication rule accepts a string w iff for every factorization
 w = u x v with x in the target's language there is some context i with
@@ -63,6 +64,12 @@ class GrammarParseError(GrammarError):
 
 class GrammarCompileError(GrammarError):
     pass
+
+
+#: How many groups and options may nest, and how many groups, options and
+#: constant references may enclose a name.  Walks over a pattern tree
+#: recurse once per level, so this keeps them far from the recursion limit.
+MAX_NESTING = 32
 
 
 @dataclass(frozen=True)
@@ -204,6 +211,7 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # groups and options open at the current token
 
     def peek(self, ahead=0):
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
@@ -256,23 +264,28 @@ class _Parser:
             tok = self.next()
             if isinstance(atom, _HoleMark):
                 raise GrammarParseError("'_' cannot be starred", tok.line, tok.col)
-            atom = Star(atom)
+            if not isinstance(atom, Star):  # X** is X*
+                atom = Star(atom)
         return atom
 
     def parse_atom(self, allow_hole=False):
         tok = self.next()
         if tok.kind == "NAME":
-            return _NameRef(tok.text, tok.line, tok.col)
+            return _NameRef(tok.text, tok.line, tok.col, self.depth)
         if tok.kind == "GAP":
             return Gap(within_clause=True)
         if tok.kind == "ANYGAP":
             return Gap(within_clause=False)
-        if tok.kind == "LPAR":
+        if tok.kind in ("LPAR", "LBRK"):
+            if self.depth == MAX_NESTING:
+                message = f"groups and options nest deeper than {MAX_NESTING} levels"
+                raise GrammarParseError(message, tok.line, tok.col)
+            self.depth += 1
             inner = self.parse_alt(allow_hole=False)
-            self.expect("RPAR")
-            return inner
-        if tok.kind == "LBRK":
-            inner = self.parse_alt(allow_hole=False)
+            self.depth -= 1
+            if tok.kind == "LPAR":
+                self.expect("RPAR")
+                return inner
             self.expect("RBRK")
             return Opt(inner)
         if tok.kind == "HOLE":
@@ -309,11 +322,13 @@ class _Parser:
 @dataclass(frozen=True)
 class _NameRef(Pat):
     """A bare name: constant, class, or symbol; decided during expansion
-    and final resolution against the alphabet."""
+    and final resolution against the alphabet.  `depth` counts the groups
+    and options around it."""
 
     name: str
     line: int = None
     col: int = None
+    depth: int = 0
 
 
 @dataclass(frozen=True)
@@ -432,27 +447,36 @@ def parse_grammar(text):
 def expand_constants(grammar):
     """Inline every constant in every rule.  The result's rules contain
     only bare names (classes and symbols, left for `_resolve`) and gaps.
-    Cyclic constants are an error."""
+    Cyclic constants are an error, and so is a name inside more than
+    `MAX_NESTING` groups, options and constant references; a name is
+    checked before its constant is expanded, so no expansion goes deeper."""
 
-    cache = {}
+    cache = {}  # (constant name, level of its content) -> expansion
 
-    def expand(pat, stack):
+    def expand(pat, stack, base):
         def inline(leaf):
-            if not (isinstance(leaf, _NameRef) and leaf.name in grammar.constants):
+            if not isinstance(leaf, _NameRef):
                 return leaf
+            level = base + leaf.depth
+            if level > MAX_NESTING:
+                message = f"groups, options and constants nest deeper than {MAX_NESTING} levels"
+                raise GrammarCompileError(message, leaf.line, leaf.col)
             name = leaf.name
+            if name not in grammar.constants:
+                return leaf
             if name in stack:
                 cycle = " -> ".join(list(stack) + [name])
                 raise GrammarCompileError(
                     f"cyclic constant definition: {cycle}", leaf.line, leaf.col
                 )
-            if name not in cache:
-                cache[name] = expand(grammar.constants[name], stack + (name,))
-            return cache[name]
+            key = (name, level + 1)
+            if key not in cache:
+                cache[key] = expand(grammar.constants[name], stack + (name,), level + 1)
+            return cache[key]
 
         return _map_leaves(pat, inline)
 
-    rules = tuple(_map_rule(rule, lambda pat: expand(pat, ())) for rule in grammar.rules)
+    rules = tuple(_map_rule(rule, lambda pat: expand(pat, (), 0)) for rule in grammar.rules)
     return Grammar(dict(grammar.constants), dict(grammar.classes), rules)
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .automata import Dfa, Nfa, count_paths, determinize, trim
+from .automata import BOUNDARY_TEXTS, Dfa, Nfa, count_paths, determinize
 
 
 class TagError(Exception):
@@ -63,8 +63,6 @@ _CASE_PAIRS = {
 }
 
 _CLAUSE_TAGS = ("MAINC@", "SUBJ@", "OBJ@", "SC@", "N<@", "ADVL@", "mainc@", "obj@")
-
-BOUNDARY_TAGS = ("@@", "@", "@/", "@<", "@>")
 
 
 @dataclass(frozen=True)
@@ -117,7 +115,7 @@ def default_registry():
     return TagRegistry(
         function_tags=_UPPER_FTAGS + lowers + (PUNCT_TAG,),
         clause_tags=_CLAUSE_TAGS,
-        boundary_tags=BOUNDARY_TAGS,
+        boundary_tags=BOUNDARY_TEXTS,
         case_pairs=tuple(_CASE_PAIRS.items()),
     )
 
@@ -191,7 +189,6 @@ class MappedReading:
 @dataclass(frozen=True)
 class MappedCohort:
     surface: str
-    word_symbol: str
     readings: tuple  # of MappedReading
 
     @property
@@ -209,7 +206,7 @@ def candidate_tags(reading, smap):
     return smap.default
 
 
-def map_syntax(cohort, smap, registry, word_symbol=None):
+def map_syntax(cohort, smap, registry):
     """Annotate each reading with its candidate (function tag, clause tag)
     pairs.  Main-verb tags are expanded with their clause-function tags
     (main verbs always carry two tags); all other tags pair with None."""
@@ -223,9 +220,13 @@ def map_syntax(cohort, smap, registry, word_symbol=None):
             else:
                 candidates.append((tag, None))
         mapped.append(MappedReading(reading, tuple(candidates)))
-    if word_symbol is None:
-        word_symbol = f"<{cohort.surface.lower()}>"
-    return MappedCohort(cohort.surface, word_symbol, tuple(mapped))
+    return MappedCohort(cohort.surface, tuple(mapped))
+
+
+def word_symbol(surface):
+    """`<form>` for a surface form or lexicon key, lowercased; the lattice
+    uses `UNKNOWN_WORD_SYMBOL` for one the alphabet does not hold."""
+    return f"<{surface.lower()}>"
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +257,8 @@ def build_lattice(cohorts, registry, alphabet):
     cohorts: @@ at both ends, all four boundary symbols between adjacent
     tokens, one path per reading x candidate-tag combination per token.
 
-    The result is determinized and trimmed; construction is deterministic,
+    The result is determinized, and trim as long as every cohort has a
+    reading, as every `lookup` cohort does.  Construction is deterministic,
     so identical inputs yield identical automata.  Readings whose printed
     symbol sequences coincide collapse into a single path.
 
@@ -283,7 +285,7 @@ def build_lattice(cohorts, registry, alphabet):
     for index, cohort in enumerate(cohorts):
         exit_state = nfa.add_state()
         word_state = nfa.add_state()
-        word_text = cohort.word_symbol
+        word_text = word_symbol(cohort.surface)
         if word_text not in alphabet:
             word_text = UNKNOWN_WORD_SYMBOL
         nfa.add_edge(entry, frozenset((alphabet.id_of(word_text),)), word_state)
@@ -321,7 +323,7 @@ def build_lattice(cohorts, registry, alphabet):
             nfa.add_edge(exit_state, frozenset((alphabet.id_of("@@"),)), final)
             nfa.finals = {final}
 
-    dfa = trim(determinize(nfa))
+    dfa = determinize(nfa)
     ambiguity = tuple((len(c.readings), c.combinations) for c in cohorts)
     return SentenceLattice(dfa, tuple(cohorts), registry, ambiguity, len(cohorts) - 1)
 

@@ -24,7 +24,6 @@ from fslat.automata import (
     enumerate_strings,
     from_pattern,
     intersect,
-    intersect_minimal,
     is_empty,
     language_equal,
     minimize,
@@ -255,6 +254,12 @@ class TestIntersect:
         assert is_empty(intersect(a, b))
 
 
+def intersect_minimal(a, b):
+    """The minimal DFA of L(a) & L(b) and its count, by one chain step."""
+    chain, count = Chain(a).intersect(b)
+    return chain.dfa(), count
+
+
 class TestIntersectMinimal:
     def test_empty_product_is_empty_dfa(self):
         alph = Alphabet(["A", "B"])
@@ -286,9 +291,9 @@ class TestChain:
         return determinize(from_pattern(pat, alph))
 
     def _stepped(self, alph):
-        """A chain of `A | A B` that came from a step, so is minimal."""
-        chain, count = Chain(self._dfa(alph, a_or_ab(alph))).intersect(sigma_star(alph))
-        assert count == 2
+        """A chain of `A | A B`."""
+        chain = Chain(self._dfa(alph, a_or_ab(alph)))
+        assert chain.count == 2
         return chain
 
     def test_contained_step_returns_same_chain(self, abc):
@@ -298,23 +303,27 @@ class TestChain:
             assert again is chain
             assert count == 2
 
-    def test_first_step_always_runs_the_product(self, abc):
-        # a chain started from a DFA is not known to be minimal
-        redundant = Dfa(
-            abc, [((frozenset(ids(abc, "A")), 1), (frozenset(ids(abc, "B")), 2)), (), ()], (1, 2)
-        )
+    def _redundant(self, alph):
+        """`A | B` with two equivalent final states, so not minimal."""
+        a, b = (frozenset(ids(alph, t)) for t in ("A", "B"))
+        return Dfa(alph, [((a, 1), (b, 2)), (), ()], (1, 2))
+
+    def test_start_is_reduced_and_counted(self, abc):
+        redundant = self._redundant(abc)
         start = Chain(redundant)
+        assert start.count == count_paths(redundant) == 2
+        assert len(start.transitions) == 2
         chain, count = start.intersect(sigma_star(abc))
-        assert chain is not start
+        assert chain is start
         assert count == 2
-        got, want = chain.dfa(), reduce_acyclic(redundant)
+
+    def test_zero_steps_give_the_reduced_dfa(self, abc):
+        redundant = self._redundant(abc)
+        got, want = Chain(redundant).dfa(), reduce_acyclic(redundant)
+        assert want.n_states == 2
         assert (got.n_states, got.transitions, got.finals) == (
             want.n_states, want.transitions, want.finals,
         )
-
-    def test_zero_steps_give_the_source_dfa(self, abc):
-        d = self._dfa(abc, a_or_ab(abc))
-        assert Chain(d).dfa() is d
 
     @pytest.mark.parametrize(
         "rule_texts, count",
@@ -601,11 +610,11 @@ _SIGMA_STAR = sigma_star(_PROP_ALPHABET)
 
 @st.composite
 def rule_lists(draw):
-    """One to five rule DFAs: random ones, Sigma*, an empty language, and
+    """Zero to five rule DFAs: random ones, Sigma*, an empty language, and
     repeats of an earlier rule, so that chains take the containment
     shortcut and can become empty partway."""
     rules = []
-    for _ in range(draw(st.integers(1, 5))):
+    for _ in range(draw(st.integers(0, 5))):
         kind = draw(st.sampled_from(("random", "sigma_star", "empty", "repeat")))
         if kind == "sigma_star":
             rules.append(_SIGMA_STAR)
@@ -622,7 +631,8 @@ def rule_lists(draw):
 @given(dags(), rule_lists())
 def test_property_chain_fold_is_reduced_product_fold(a, rules):
     chain = Chain(a)
-    want = a
+    want = reduce_acyclic(a)
+    assert chain.count == count_paths(a)
     for rule in rules:
         chain, count = chain.intersect(rule)
         want = reduce_acyclic(intersect(want, rule))

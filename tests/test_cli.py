@@ -1,3 +1,4 @@
+import hashlib
 import io
 import os
 import tempfile
@@ -206,6 +207,64 @@ class TestCheckGrammar:
         code, _, err = run_to_string(run_check_grammar, config)
         assert code == EXIT_GRAMMAR
         assert "line" in err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "A => " + "( " * 300 + "B" + " )" * 300 + " _ ;\n",
+            "".join(f"C{i} = C{i - 1} ;\n" for i in range(1, 401)) + "A => C400 _ ;\n",
+        ],
+        ids=["groups", "constants"],
+    )
+    def test_deep_grammar_is_one_error_line(self, tmp_path, text):
+        gpath = tmp_path / "deep.fsg"
+        gpath.write_text(text)
+        config = RunConfig(command="check-grammar", grammar=str(gpath))
+        code, out, err = run_to_string(run_check_grammar, config)
+        assert code == EXIT_GRAMMAR
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("fslat: grammar error: ")
+        assert "line" in err
+
+    def test_many_stars_are_one_star(self, tmp_path):
+        gpath = tmp_path / "stars.fsg"
+        gpath.write_text("A => B" + "*" * 1200 + " _ ;\n")
+        config = RunConfig(command="check-grammar", grammar=str(gpath))
+        code, out, err = run_to_string(run_check_grammar, config)
+        assert (code, err) == (EXIT_OK, "")
+        assert "VACUOUS" in out  # B* licenses every A
+
+
+def _mask_micros(trace):
+    """`fslat trace` output with each rule line's timing column blanked."""
+    return "".join(
+        line if line.startswith("#") else line[: line.rindex("\t") + 1] + "-\n"
+        for line in trace.splitlines(keepends=True)
+    )
+
+
+class TestOutputPins:
+    """sha256 of whole `count` and `trace` runs over the bundled inputs:
+    per-rule counts and survivor totals of every sentence stay as they
+    were recorded."""
+
+    PINS = {
+        ("sample_sentences.txt", "count"): "118fe073333a03e54dbcf4394019e01aea42aab2f8b30e73cc777be507055e06",
+        ("sample_sentences.txt", "trace"): "b8918a7c0b88a02eec24eb8710d20de8fb68166a6fdeedde39b750ba885f7e56",
+        ("stress39.txt", "count"): "c3ebd890d22ac09a1968ea41755cd6956322058e1befe8e066cd02d8a5f7d88c",
+        ("stress39.txt", "trace"): "19396c17be972b19b6c443aa5c2c9823206e591b0e603b9d48f913c1e1c5dbed",
+    }
+
+    @pytest.mark.parametrize("name, command", sorted(PINS))
+    def test_output_is_pinned(self, resources, name, command):
+        run = {"count": run_count, "trace": run_trace}[command]
+        config = RunConfig(command=command, inputs=(str(data.path(name)),), **resources)
+        code, out, err = run_to_string(run, config)
+        assert (code, err) == (EXIT_OK, "")
+        if command == "trace":
+            out = _mask_micros(out)
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PINS[name, command]
 
 
 class TestExitCodes:

@@ -79,7 +79,19 @@ class TestApplyGrammar:
         lattice = pipe.lattice_for(tokenize("I see a bird."))
         survived, trace = apply_grammar(lattice, pipe.rules)
         assert trace.steps[0].before == trace.steps[0].after
-        # the first step runs the product even so: the result is minimal
+        # the chain starts from the reduced lattice: the result is minimal
+        got, want = survived.automaton, reduce_acyclic(lattice.automaton)
+        assert want.n_states < lattice.automaton.n_states
+        assert (got.n_states, got.transitions, got.finals) == (
+            want.n_states, want.transitions, want.finals,
+        )
+
+    def test_no_rules_give_the_reduced_lattice(self):
+        pipe = tiny_pipeline(TINY_GRAMMAR)
+        lattice = pipe.lattice_for(tokenize("I see a bird."))
+        survived, trace = apply_grammar(lattice, ())
+        assert trace.steps == ()
+        assert trace.final == reading_count(lattice)
         got, want = survived.automaton, reduce_acyclic(lattice.automaton)
         assert want.n_states < lattice.automaton.n_states
         assert (got.n_states, got.transitions, got.finals) == (

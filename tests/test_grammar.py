@@ -17,6 +17,7 @@ from fslat.automata import (
 )
 from fslat.engine import build_alphabet
 from fslat.grammar import (
+    MAX_NESTING,
     GrammarCompileError,
     GrammarParseError,
     ImplicationRule,
@@ -134,6 +135,42 @@ class TestExpandConstants:
     def test_mutual_cycle(self):
         with pytest.raises(GrammarCompileError):
             expand_constants(parse_grammar("A = B ;\nB = A ;\nC => A _ ;"))
+
+
+def nested(depth, inner="B"):
+    """`inner` inside `depth` groups, each also holding an `A`."""
+    return "( A " * depth + inner + " )" * depth
+
+
+def chained(length):
+    """Constants K1 .. K`length`, each naming the one before."""
+    return "".join(f"K{i} = K{i - 1} ;\n" for i in range(1, length + 1))
+
+
+class TestNesting:
+    def test_groups_past_the_bound_are_a_parse_error(self):
+        parse_grammar(f"X => {nested(MAX_NESTING - 1, '[ B ]')} _ ;")
+        with pytest.raises(GrammarParseError) as err:
+            parse_grammar(f"\nX => {nested(MAX_NESTING, '[ B ]')} _ ;")
+        assert (err.value.line, err.value.col) == (2, 6 + 4 * MAX_NESTING)
+
+    def test_constant_chain_past_the_bound(self):
+        # X names K<n> at level 0, K<n> names K<n-1> at level 1, ..., and
+        # K1 names the symbol K0 at level n
+        expand_constants(parse_grammar(chained(MAX_NESTING) + f"X => K{MAX_NESTING} _ ;"))
+        over = MAX_NESTING + 1
+        with pytest.raises(GrammarCompileError) as err:
+            expand_constants(parse_grammar(chained(over) + f"X => K{over} _ ;"))
+        assert err.value.line == 1
+
+    def test_groups_and_constants_add_up(self):
+        # Y expands K shallow first; the deep reference is checked even so
+        half = MAX_NESTING // 2
+        shallow = f"K = {nested(half - 1)} ;\nY => K _ ;\n"
+        expand_constants(parse_grammar(shallow + f"X => {nested(half, 'K')} _ ;"))
+        with pytest.raises(GrammarCompileError) as err:
+            expand_constants(parse_grammar(shallow + f"X => {nested(half + 1, 'K')} _ ;"))
+        assert err.value.line == 1  # inside K, not at the reference
 
 
 def compile_single(text, alphabet):
