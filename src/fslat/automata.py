@@ -321,26 +321,6 @@ def empty_dfa(alphabet):
     return Dfa(alphabet, ((),), frozenset())
 
 
-def partition(labels):
-    """Partition the symbols occurring in `labels` into blocks such that
-    every label is a disjoint union of blocks.  Returns (blocks,
-    label_to_block_ids), the blocks sorted by smallest symbol."""
-    membership = {}
-    for i, label in enumerate(labels):
-        for sym in label:
-            membership.setdefault(sym, []).append(i)
-    groups = {}
-    for sym in sorted(membership):  # so groups open in smallest-symbol order
-        groups.setdefault(tuple(membership[sym]), []).append(sym)
-    blocks = []
-    per_label = [[] for _ in labels]
-    for b, (members, syms) in enumerate(groups.items()):
-        blocks.append(frozenset(syms))
-        for i in members:
-            per_label[i].append(b)
-    return blocks, {label: tuple(bs) for label, bs in zip(labels, per_label)}
-
-
 def _min_symbol(edge):
     return min(edge[0])
 
@@ -389,19 +369,20 @@ def _merge_by_class(edges, cls):
 
 def determinize(nfa):
     """Subset construction; the result is deterministic, epsilon-free and
-    trimmed to states reachable from the start."""
+    trimmed to states reachable from the start.  A subset's moves are
+    collected per symbol and symbols with the same target closure share
+    one edge, so the cost follows the symbols the labels hold: callers
+    that step wide classes pass an alphabet already grouped into blocks
+    (as `grammar.compile_rule` does)."""
     n = nfa.n_states
     eps = [[] for _ in range(n)]
     sym_edges = [[] for _ in range(n)]
-    seen_labels = {}
     for src in range(n):
         for label, dst in nfa.transitions[src]:
             if label is None:
                 eps[src].append(dst)
             elif label:
                 sym_edges[src].append((label, dst))
-                seen_labels[label] = None
-    blocks, label_blocks = partition(list(seen_labels))
 
     closures = {}  # move set -> its epsilon closure
 
@@ -423,15 +404,12 @@ def determinize(nfa):
         moves = {}
         for state in subset:
             for label, dst in sym_edges[state]:
-                for b in label_blocks[label]:
-                    moves.setdefault(b, set()).add(dst)
+                for sym in label:
+                    moves.setdefault(sym, set()).add(dst)
         grouped = {}
-        for b in sorted(moves):
-            grouped.setdefault(closure(frozenset(moves[b])), []).append(b)
-        edges = [
-            (frozenset().union(*(blocks[b] for b in bs)), target)
-            for target, bs in grouped.items()
-        ]
+        for sym, dsts in moves.items():
+            grouped.setdefault(closure(frozenset(dsts)), []).append(sym)
+        edges = [(frozenset(syms), target) for target, syms in grouped.items()]
         return not subset.isdisjoint(nfa.finals), edges
 
     return _canonical(nfa.alphabet, closure(frozenset((nfa.start,))), expand)
@@ -486,38 +464,28 @@ def trim(dfa):
 
 
 def minimize(dfa):
-    """Partition refinement (Moore) over compressed alphabet blocks; the
-    result is the canonical minimal partial DFA for the language."""
+    """Partition refinement (Moore) over the symbols the trimmed DFA uses;
+    the result is the canonical minimal partial DFA for the language.  Each
+    round splits the previous round's classes by the class each symbol
+    leads to, so the cost follows the symbol count: callers that step wide
+    classes pass an alphabet already grouped into blocks (as
+    `grammar.compile_rule` does)."""
     d = trim(dfa)
     if not d.finals:
         return d
-    labels = {}
-    for edges in d.transitions:
-        for label, _ in edges:
-            labels[label] = None
-    blocks, label_blocks = partition(list(labels))
-    nblocks = len(blocks)
-    # per-state transition over blocks; -1 encodes the implicit dead state
-    table = []
-    for edges in d.transitions:
-        row = [-1] * nblocks
-        for label, dst in edges:
-            for b in label_blocks[label]:
-                row[b] = dst
-        table.append(row)
-
+    index = d._symbol_index()
+    syms = sorted({sym for row in index for sym in row})
     cls = [1 if s in d.finals else 0 for s in range(d.n_states)]
     ncls = len(set(cls))
     while True:
         sigs = {}
-        new_cls = [0] * d.n_states
-        for s in range(d.n_states):
-            sig = (cls[s], tuple(cls[t] if t >= 0 else -1 for t in table[s]))
+        new_cls = []
+        for s, row in enumerate(index):
+            sig = (cls[s], tuple([cls[row[sym]] if sym in row else None for sym in syms]))
             idx = sigs.get(sig)
             if idx is None:
-                idx = len(sigs)
-                sigs[sig] = idx
-            new_cls[s] = idx
+                idx = sigs[sig] = len(sigs)
+            new_cls.append(idx)
         cls = new_cls
         if len(sigs) == ncls:
             break
@@ -574,10 +542,10 @@ def reduce_acyclic(dfa):
     return _canonical(d.alphabet, cls[0], classes.__getitem__)
 
 
-def complement(dfa, alphabet):
-    """Accepts exactly alphabet* minus the input's language."""
-    if alphabet is not dfa.alphabet:
-        raise AlphabetMismatchError("complement must use the automaton's own alphabet")
+def complement(dfa):
+    """Accepts exactly Sigma* minus the input's language, over its own
+    alphabet."""
+    alphabet = dfa.alphabet
     sigma = alphabet.id_set()
     n = dfa.n_states
     sink = n
@@ -923,10 +891,7 @@ def language_equal(a, b):
     """Language equivalence via emptiness of the symmetric difference."""
     if a.alphabet is not b.alphabet:
         raise AlphabetMismatchError("language_equal requires a shared alphabet")
-    alphabet = a.alphabet
-    return is_empty(intersect(a, complement(b, alphabet))) and is_empty(
-        intersect(b, complement(a, alphabet))
-    )
+    return is_empty(intersect(a, complement(b))) and is_empty(intersect(b, complement(a)))
 
 
 def erase_symbol(dfa, sym):

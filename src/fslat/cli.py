@@ -36,7 +36,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .automata import complement, is_empty
-from .engine import Pipeline, apply_grammar, reading_count
+from .engine import Pipeline, apply_grammar
 from .grammar import GrammarError, parse_grammar
 from .lattice import PUNCT_TAG, MapError, TagError, default_registry, parse_syntactic_map
 from .lexicon import (
@@ -312,8 +312,9 @@ def run_count(config, out=None, err=None):
         for readings, _ in lattice.per_token_ambiguity:
             morph *= readings
         with_boundaries = morph * 4 ** lattice.boundary_slots
-        with_syntax = reading_count(lattice)
         _, trace = apply_grammar(lattice, pipeline.rules)
+        # the lattice's own count is the first step's `before`
+        with_syntax = trace.steps[0].before if trace.steps else trace.final
         return morph, with_boundaries, with_syntax, trace.final
 
     def emit(index, tokens, counts):
@@ -372,7 +373,6 @@ def run_check_grammar(config, out=None, err=None):
     except GrammarError as exc:
         print(f"fslat: grammar error: {exc}", file=err)
         return EXIT_GRAMMAR
-    alphabet = pipeline.alphabet
     print(f"rules: {len(pipeline.rules)}", file=out)
     flagged = 0
     for rule in pipeline.rules:
@@ -380,7 +380,7 @@ def run_check_grammar(config, out=None, err=None):
         notes = []
         if is_empty(dfa):
             notes.append("UNSATISFIABLE")
-        elif is_empty(complement(dfa, alphabet)):
+        elif is_empty(complement(dfa)):
             notes.append("VACUOUS")
         flagged += bool(notes)
         suffix = "\t" + ",".join(notes) if notes else ""

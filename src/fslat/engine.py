@@ -22,7 +22,6 @@ from .lattice import (
     build_lattice,
     default_registry,
     map_syntax,
-    reading_count,
     word_symbol,
 )
 from .lexicon import OPEN_CLASS_GUESSES, PUNCT_TAGS, lookup

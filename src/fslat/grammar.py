@@ -41,10 +41,8 @@ from .automata import (
     erase_symbol,
     from_pattern,
     intersect,
-    is_empty,
     minimize,
     nullable,
-    partition,
 )
 
 
@@ -127,6 +125,7 @@ class Token:
     text: str
     line: int
     col: int
+    offset: int  # into the source text
 
 
 def _lex(text):
@@ -156,27 +155,27 @@ def _lex(text):
                 advance(1)
             continue
         if text.startswith("...", i):
-            tokens.append(Token("ANYGAP", "...", line, col))
+            tokens.append(Token("ANYGAP", "...", line, col, i))
             advance(3)
             continue
         if text.startswith("..", i):
-            tokens.append(Token("GAP", "..", line, col))
+            tokens.append(Token("GAP", "..", line, col, i))
             advance(2)
             continue
         if text.startswith(":=", i):
-            tokens.append(Token("CLASSDEF", ":=", line, col))
+            tokens.append(Token("CLASSDEF", ":=", line, col, i))
             advance(2)
             continue
         if text.startswith("=>", i):
-            tokens.append(Token("ARROW", "=>", line, col))
+            tokens.append(Token("ARROW", "=>", line, col, i))
             advance(2)
             continue
         if ch == "=":
-            tokens.append(Token("EQUALS", "=", line, col))
+            tokens.append(Token("EQUALS", "=", line, col, i))
             advance(1)
             continue
         if ch in _PUNCT:
-            tokens.append(Token(_PUNCT[ch], ch, line, col))
+            tokens.append(Token(_PUNCT[ch], ch, line, col, i))
             advance(1)
             continue
         if ch == "<":
@@ -186,7 +185,7 @@ def _lex(text):
             if j >= n or text[j] != ">":
                 raise GrammarParseError("unterminated angle-bracket symbol", line, col)
             word = text[i : j + 1]
-            tokens.append(Token("NAME", word, line, col))
+            tokens.append(Token("NAME", word, line, col, i))
             advance(j + 1 - i)
             continue
         # identifiers may contain '<' and '>' as long as they do not start
@@ -196,9 +195,9 @@ def _lex(text):
             j += 1
         if j == i:
             raise GrammarParseError(f"unexpected character {ch!r}", line, col)
-        tokens.append(Token("NAME", text[i:j], line, col))
+        tokens.append(Token("NAME", text[i:j], line, col, i))
         advance(j - i)
-    tokens.append(Token("EOF", "", line, col))
+    tokens.append(Token("EOF", "", line, col, i))
     return tokens
 
 
@@ -237,29 +236,25 @@ class _Parser:
     # postfix := atom { '*' } ; atom := NAME | '(' alt ')' | '[' alt ']' | gap
     _ATOM_STARTS = ("NAME", "LPAR", "LBRK", "GAP", "ANYGAP")
 
-    def parse_alt(self, allow_hole=False):
-        parts = [self.parse_seq(allow_hole)]
+    def parse_alt(self):
+        parts = [self.parse_seq()]
         while self.at("PIPE"):
             self.next()
-            parts.append(self.parse_seq(allow_hole))
+            parts.append(self.parse_seq())
         if len(parts) == 1:
             return parts[0]
         return Alt(tuple(parts))
 
-    def parse_seq(self, allow_hole=False):
+    def parse_seq(self):
         parts = []
-        while True:
-            kind = self.peek().kind
-            if kind in self._ATOM_STARTS or (allow_hole and kind == "HOLE"):
-                parts.append(self.parse_postfix(allow_hole))
-            else:
-                break
+        while self.peek().kind in self._ATOM_STARTS:
+            parts.append(self.parse_postfix())
         if len(parts) == 1:
             return parts[0]
         return Seq(tuple(parts))
 
-    def parse_postfix(self, allow_hole=False):
-        atom = self.parse_atom(allow_hole)
+    def parse_postfix(self):
+        atom = self.parse_atom()
         while self.at("STAR"):
             tok = self.next()
             if isinstance(atom, _HoleMark):
@@ -268,7 +263,7 @@ class _Parser:
                 atom = Star(atom)
         return atom
 
-    def parse_atom(self, allow_hole=False):
+    def parse_atom(self):
         tok = self.next()
         if tok.kind == "NAME":
             return _NameRef(tok.text, tok.line, tok.col, self.depth)
@@ -281,20 +276,14 @@ class _Parser:
                 message = f"groups and options nest deeper than {MAX_NESTING} levels"
                 raise GrammarParseError(message, tok.line, tok.col)
             self.depth += 1
-            inner = self.parse_alt(allow_hole=False)
+            inner = self.parse_alt()
             self.depth -= 1
             if tok.kind == "LPAR":
                 self.expect("RPAR")
                 return inner
             self.expect("RBRK")
             return Opt(inner)
-        if tok.kind == "HOLE":
-            if not allow_hole:
-                raise GrammarParseError(
-                    "'_' is only legal at the top level of a rule context",
-                    tok.line,
-                    tok.col,
-                )
+        if tok.kind == "HOLE":  # only a context steps onto `_`: a sequence stops before it
             return _HoleMark(tok.line, tok.col)
         raise GrammarParseError(f"unexpected {tok.text!r} in pattern", tok.line, tok.col)
 
@@ -305,7 +294,7 @@ class _Parser:
         while True:
             kind = self.peek().kind
             if kind in self._ATOM_STARTS or kind == "HOLE":
-                items.append(self.parse_postfix(allow_hole=True))
+                items.append(self.parse_postfix())
             else:
                 break
         holes = [i for i, item in enumerate(items) if isinstance(item, _HoleMark)]
@@ -346,12 +335,7 @@ def _as_seq(items):
 
 
 def _source_slice(text, start_tok, end_tok):
-    lines = text.split("\n")
-
-    def offset(tok):
-        return sum(len(l) + 1 for l in lines[: tok.line - 1]) + tok.col - 1
-
-    return " ".join(text[offset(start_tok) : offset(end_tok)].split())
+    return " ".join(text[start_tok.offset : end_tok.offset].split())
 
 
 def parse_grammar(text):
@@ -555,6 +539,26 @@ class CompiledRule:
 _MARK = "\x00mark"
 
 
+def _partition(labels):
+    """Partition the symbols occurring in `labels` into blocks such that
+    every label is a disjoint union of blocks.  Returns (blocks,
+    label_to_block_ids), the blocks sorted by smallest symbol."""
+    membership = {}
+    for i, label in enumerate(labels):
+        for sym in label:
+            membership.setdefault(sym, []).append(i)
+    groups = {}
+    for sym in sorted(membership):  # so groups open in smallest-symbol order
+        groups.setdefault(tuple(membership[sym]), []).append(sym)
+    blocks = []
+    per_label = [[] for _ in labels]
+    for b, (members, syms) in enumerate(groups.items()):
+        blocks.append(frozenset(syms))
+        for i in members:
+            per_label[i].append(b)
+    return blocks, {label: tuple(bs) for label, bs in zip(labels, per_label)}
+
+
 def rule_blocks(resolved, alphabet):
     """The coarsest split of Σ into blocks such that Σ and every atom of
     the resolved rule are unions of blocks, sorted by smallest symbol.
@@ -573,10 +577,10 @@ def rule_blocks(resolved, alphabet):
 
     _map_rule(resolved, lambda pat: _map_leaves(pat, collect))
     labels = list(labels)
-    blocks, atom_blocks = partition(labels)
+    blocks, atom_blocks = _partition(labels)
     if len(blocks) < len(BOUNDARY_TEXTS):
         reserved = [frozenset((sym,)) for sym in range(len(BOUNDARY_TEXTS))]
-        blocks, atom_blocks = partition(labels + reserved)
+        blocks, atom_blocks = _partition(labels + reserved)
     return tuple(blocks), atom_blocks
 
 
@@ -624,7 +628,7 @@ def compile_rule(rule, alphabet):
 
 def _compile_reject(rule, alphabet):
     occurs = Seq((_any_star(alphabet), rule.pattern, _any_star(alphabet)))
-    return minimize(complement(determinize(from_pattern(occurs, alphabet)), alphabet))
+    return minimize(complement(determinize(from_pattern(occurs, alphabet))))
 
 
 def _compile_implication(rule, alphabet):
@@ -635,12 +639,6 @@ def _compile_implication(rule, alphabet):
             "occurrence positions would be ill-defined",
             rule.line,
         )
-    target_dfa = determinize(from_pattern(target, alphabet))
-    if is_empty(target_dfa):
-        raise GrammarCompileError(
-            f"rule {rule.name!r}: target denotes the empty language", rule.line
-        )
-
     scratch = alphabet.extended(_MARK)
     mark = scratch.id_of(_MARK)
     base_star = _any_star(alphabet)  # marker-free sigma*
@@ -648,15 +646,21 @@ def _compile_implication(rule, alphabet):
 
     marked_occurrence = Seq((base_star, mark_lit, target, mark_lit, base_star))
     bad = determinize(from_pattern(marked_occurrence, scratch))
+    # every state of `bad` is reachable, so it has a final state exactly
+    # when the target's language is not empty
+    if not bad.finals:
+        raise GrammarCompileError(
+            f"rule {rule.name!r}: target denotes the empty language", rule.line
+        )
     for left, right in rule.contexts:
         licensed = Seq((base_star, left, mark_lit, base_star, mark_lit, right, base_star))
         licensed_dfa = determinize(from_pattern(licensed, scratch))
-        bad = intersect(bad, complement(licensed_dfa, scratch))
-        if is_empty(bad):
+        bad = intersect(bad, complement(licensed_dfa))
+        if not bad.finals:  # `intersect` output is trim
             break
     violating = determinize(erase_symbol(bad, mark))
     violating = Dfa(alphabet, violating.transitions, violating.finals)
-    return minimize(complement(violating, alphabet))
+    return minimize(complement(violating))
 
 
 def _any_star(alphabet):

@@ -60,7 +60,7 @@ def a_or_ab(alph):
 
 def sigma_star(alph):
     """The DFA accepting every string over `alph`."""
-    return complement(empty_dfa(alph), alph)
+    return complement(empty_dfa(alph))
 
 
 class TestAlphabet:
@@ -201,19 +201,19 @@ class TestComplement:
         small = Alphabet(["A", "B"])
         for _ in range(60):
             d = random_dfa(rng, small, max_states=8)
-            cc = complement(complement(d, small), small)
+            cc = complement(complement(d))
             assert language_equal(cc, d)
 
     def test_accept_all_becomes_empty(self, abc):
         everything = determinize(
             from_pattern(Star(Syms(abc.id_set())), abc)
         )
-        assert is_empty(complement(everything, abc))
+        assert is_empty(complement(everything))
 
     def test_single_string(self):
         alph = Alphabet(["A", "B"])
         d = determinize(from_pattern(lit(alph, "A"), alph))
-        c = complement(d, alph)
+        c = complement(d)
         assert c.accepts([])
         assert c.accepts(ids(alph, "B"))
         assert c.accepts(ids(alph, "A", "A"))
@@ -280,7 +280,7 @@ class TestIntersectMinimal:
         both = frozenset(ids(alph, "A", "B"))
         n = 4999
         chain = Dfa(alph, [((both, i + 1),) for i in range(n)] + [()], (n,))
-        sigma_star = complement(empty_dfa(alph), alph)
+        sigma_star = complement(empty_dfa(alph))
         got, count = intersect_minimal(chain, sigma_star)
         assert (got.transitions, got.finals) == (chain.transitions, chain.finals)
         assert count == 2**n
@@ -489,8 +489,7 @@ def dfas(draw, max_states=8):
 @settings(max_examples=500, deadline=None)
 @given(dfas())
 def test_property_complement_involution(d):
-    alph = d.alphabet
-    assert language_equal(complement(complement(d, alph), alph), d)
+    assert language_equal(complement(complement(d)), d)
 
 
 @settings(max_examples=500, deadline=None)
@@ -541,6 +540,84 @@ def assert_canonical(d):
     assert order == list(range(d.n_states)), order
 
 
+@st.composite
+def nfas(draw, max_states=6):
+    """Random NFAs over the three symbols with epsilon edges and labels of
+    one to three symbols that overlap, within a state and across states."""
+    n = draw(st.integers(1, max_states))
+    nfa = Nfa(_PROP_ALPHABET)
+    for _ in range(n):
+        nfa.add_state()
+    label = st.none() | st.frozensets(st.sampled_from(_PROP_SYMS), min_size=1)
+    for src in range(n):
+        for _ in range(draw(st.integers(0, 4))):
+            nfa.add_edge(src, draw(label), draw(st.integers(0, n - 1)))
+    nfa.start = draw(st.integers(0, n - 1))
+    nfa.finals = {s for s in range(n) if draw(st.booleans())}
+    return nfa
+
+
+@settings(max_examples=300, deadline=None)
+@given(nfas())
+def test_property_determinize_matches_nfa(nfa):
+    d = determinize(nfa)
+    assert_canonical(d)
+    for w in exhaustive_strings(_PROP_SYMS, 5):
+        assert d.accepts(w) == nfa.accepts(w), w
+
+
+_WIDE_ALPHABET = Alphabet([f"W{i}" for i in range(6)])
+_WIDE_SYMS = tuple(_WIDE_ALPHABET.id_of(f"W{i}") for i in range(6))
+
+
+@st.composite
+def wide_dfas(draw, max_states=4, max_copies=3):
+    """Random DFAs over six symbols whose labels hold several symbols, with
+    many equivalent states: a random DFA (acyclic when `acyclic` is drawn:
+    every edge leads to a higher-numbered state) is blown up into copies
+    of each state, and each edge's label is split in two, each part into
+    any copy of the target."""
+    n = draw(st.integers(1, max_states))
+    copies = draw(st.integers(1, max_copies))
+    acyclic = draw(st.booleans())
+    small = []
+    for src in range(n):
+        labels = {}
+        for sym in _WIDE_SYMS:
+            dst = draw(st.integers(src + 1 if acyclic else 0, n))  # n: no edge
+            if dst < n:
+                labels.setdefault(dst, set()).add(sym)
+        small.append(labels)
+    small_finals = {q for q in range(n) if draw(st.booleans())}
+    transitions = []  # state q + n * c is copy c of state q
+    for _ in range(copies):
+        for labels in small:
+            edges = {}
+            for dst, syms in labels.items():
+                for sym in syms:
+                    part = draw(st.integers(0, 1))
+                    copy = draw(st.integers(0, copies - 1))
+                    edges.setdefault((dst + n * copy, part), set()).add(sym)
+            transitions.append(tuple((frozenset(syms), dst) for (dst, _), syms in edges.items()))
+    finals = frozenset(q + n * c for q in small_finals for c in range(copies))
+    return Dfa(_WIDE_ALPHABET, transitions, finals)
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_dfas())
+def test_property_minimize_wide_labels(d):
+    m = minimize(d)
+    assert_canonical(m)
+    assert m.n_states == naive_moore_minimal_states(d)
+    assert language_equal(m, d)
+    try:
+        count_paths(d)
+    except InfiniteLanguageError:
+        return
+    reduced = reduce_acyclic(d)
+    assert (reduced.transitions, reduced.finals) == (m.transitions, m.finals)
+
+
 #: Every string of at most four symbols; intersecting with it makes any
 #: automaton acyclic.
 _UP_TO_4 = Dfa(
@@ -561,7 +638,7 @@ def test_property_outputs_are_canonical(a, b):
         minimize(a),
         reduced,
         intersect(a, b),
-        complement(a, a.alphabet),
+        complement(a),
     ):
         assert_canonical(d)
     minimal = minimize(acyclic)

@@ -266,6 +266,20 @@ class TestOutputPins:
             out = _mask_micros(out)
         assert hashlib.sha256(out.encode()).hexdigest() == self.PINS[name, command]
 
+    CHECK_GRAMMAR_PINS = {
+        True: "d93584d2c1e7dda5d3bcf8d80494d089b2f9ce90a87b4832bb8f00a22c44cf68",
+        False: "14dea5ca85a2d88259528d30342133d62f5ee50d8ea47f0f8b2ff5220c7916e2",
+    }
+
+    @pytest.mark.parametrize("with_lexicon", [True, False], ids=["lexicon", "no-lexicon"])
+    def test_check_grammar_is_pinned(self, resources, with_lexicon):
+        # rule names, state and edge counts and the VACUOUS/UNSATISFIABLE flags
+        lexicon = resources["lexicon"] if with_lexicon else None
+        config = RunConfig(command="check-grammar", grammar=resources["grammar"], lexicon=lexicon)
+        code, out, err = run_to_string(run_check_grammar, config)
+        assert (code, err) == (EXIT_OK, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == self.CHECK_GRAMMAR_PINS[with_lexicon]
+
 
 class TestExitCodes:
     def test_empty_input_is_success(self, resources, tmp_path):
@@ -444,3 +458,18 @@ class TestCountSingleToken:
         row = out.splitlines()[1].split("\t")
         assert row[1:] == ["1", "1", "9", "0"]
         assert code == EXIT_EMPTY
+
+    def test_grammar_without_rules_counts_the_lattice(self, resources, tmp_path):
+        # a class definition alone: no rule step, so +syntax is the final count
+        path = write_input(tmp_path, "I see a bird.\nWhat are you talking about?\n")
+        gpath = tmp_path / "classes.fsg"
+        gpath.write_text("K := N ;\n")
+        config = RunConfig(command="count", inputs=(path,), **{**resources, "grammar": str(gpath)})
+        code, out, _ = run_to_string(run_count, config)
+        rows = [line.split("\t") for line in out.splitlines()[1:]]
+        assert len(rows) == 2
+        assert [row[3] for row in rows] == [row[4] for row in rows]
+        _, demo_out, _ = run_to_string(run_count, RunConfig(command="count", inputs=(path,), **resources))
+        demo_rows = [line.split("\t") for line in demo_out.splitlines()[1:]]
+        assert [row[3] for row in rows] == [row[3] for row in demo_rows]
+        assert code == EXIT_OK

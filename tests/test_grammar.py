@@ -210,7 +210,7 @@ class TestCompileRule:
 
     def test_vacuous_contexts_accept_everything(self, abc):
         rule, compiled = compile_single("B => _ ... ;", abc)
-        assert is_empty(complement(compiled.automaton, abc))
+        assert is_empty(complement(compiled.automaton))
 
     def test_unknown_symbol_reports_location(self, abc):
         with pytest.raises(PatternError) as err:
@@ -221,6 +221,11 @@ class TestCompileRule:
     def test_empty_target_rejected(self, abc):
         with pytest.raises(GrammarCompileError):
             compile_single("A* => _ B ;", abc)
+
+    def test_target_with_empty_language_rejected(self):
+        alph = Alphabet(["A", "B"], {"K": []})
+        with pytest.raises(GrammarCompileError, match="target denotes the empty language"):
+            compile_single("K => _ A ;", alph)
 
     def test_reject_rule_semantics(self, abc):
         rule, compiled = compile_single("! X ... X ;", abc)
@@ -236,7 +241,7 @@ class TestCompileRule:
         one = compile_single("B => A _ C ;", abc)[1]
         two = compile_single("B => A _ C , X _ X ;", abc)[1]
         # L(one) must be a subset of L(two)
-        assert is_empty(intersect(one.automaton, complement(two.automaton, abc)))
+        assert is_empty(intersect(one.automaton, complement(two.automaton)))
 
     def test_strings_without_target_always_accepted(self, abc):
         rule, compiled = compile_single("B => A _ C ;", abc)

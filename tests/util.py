@@ -32,7 +32,7 @@ def random_dfa(rng, alphabet, max_states=8, density=0.7, final_p=0.4):
 
 def naive_moore_minimal_states(dfa):
     """Textbook partition refinement over per-symbol transition tables,
-    written independently of the package's block-compressed version.
+    written independently of the package's own.
     Returns the state count of the minimal partial DFA (useless states
     removed)."""
     d = trim(dfa)
