@@ -9,10 +9,13 @@
 
 Each command accepts only the flags shown for it.  Input files (or stdin)
 are tokenized, split into sentences at . ? ! and processed one sentence at
-a time.  Exit codes: 0 success; 1 usage or resource error, an unknown word
-under `--unknown closed`, or a lexicon tag that collides with a registered
-function, clause or boundary tag; 2 grammar error; 3 at least one
-sentence lost all readings.
+a time; output is flushed after each sentence.  `--jobs N` (at least 1)
+runs N sentences at once on a thread pool; with N above 1 the whole input
+is read before the first sentence is emitted, because the pool's `map`
+submits every sentence up front.  Exit codes: 0 success; 1 usage or
+resource error, an unknown word under `--unknown closed`, or a lexicon tag
+that collides with a registered function, clause or boundary tag; 2
+grammar error; 3 at least one sentence lost all readings.
 
 Table output prints one row per token (surface, morphology, function tag,
 clause-function tag, following boundary) separated by single TABs, with a
@@ -68,7 +71,7 @@ class RunConfig:
 
 
 def _build_argparser():
-    def limit(text):
+    def at_least_one(text):
         value = int(text)
         if value < 1:
             raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
@@ -87,11 +90,11 @@ def _build_argparser():
             p.add_argument("--map")
         p.add_argument("--grammar")
         if name == "parse":
-            p.add_argument("--limit", type=limit, default=16)
+            p.add_argument("--limit", type=at_least_one, default=16)
             p.add_argument("--format", choices=("table", "records"), default="table")
         if reads_sentences:
             p.add_argument("--unknown", choices=("open", "closed"), default="open")
-            p.add_argument("--jobs", type=int, default=1)
+            p.add_argument("--jobs", type=at_least_one, default=1)
             p.add_argument("inputs", nargs="*", metavar="INPUT")
     return parser
 
@@ -101,7 +104,6 @@ def parse_args(argv):
     keep their RunConfig defaults."""
     config = RunConfig(**vars(_build_argparser().parse_args(argv)))
     config.inputs = tuple(config.inputs)
-    config.jobs = max(1, config.jobs)
     return config
 
 
@@ -243,11 +245,11 @@ def _map_sentences(config, sentences, worker):
             yield worker(sentence)
 
 
-def _run_sentences(config, err, work, emit):
+def _run_sentences(config, out, err, work, emit):
     """Run `work(tokens)` on every input sentence and hand each result to
-    `emit(index, tokens, result)` in input order; `emit` returns False for
-    a sentence that lost every reading.  The only place where bad input
-    becomes an exit code."""
+    `emit(index, tokens, result)` in input order, flushing `out` after
+    each; `emit` returns False for a sentence that lost every reading.
+    The only place where bad input becomes an exit code."""
     exit_code = EXIT_OK
     try:
         sentences = split_sentences(_input_tokens(config, err))
@@ -255,6 +257,7 @@ def _run_sentences(config, err, work, emit):
         for index, (tokens, result) in enumerate(results, start=1):
             if not emit(index, tokens, result):
                 exit_code = EXIT_EMPTY
+            out.flush()
     except FileNotFoundError:
         return EXIT_USAGE
     except (UnknownWordError, TagError) as exc:
@@ -293,7 +296,7 @@ def run_parse(config, out=None, err=None):
         first = False
         return True
 
-    return _run_sentences(config, err, work, emit)
+    return _run_sentences(config, out, err, work, emit)
 
 
 def run_count(config, out=None, err=None):
@@ -321,7 +324,7 @@ def run_count(config, out=None, err=None):
         print(index, *counts, sep="\t", file=out)
         return counts[-1] != 0
 
-    return _run_sentences(config, err, work, emit)
+    return _run_sentences(config, out, err, work, emit)
 
 
 def run_trace(config, out=None, err=None):
@@ -342,7 +345,7 @@ def run_trace(config, out=None, err=None):
         print(f"# final\t{trace.final}", file=out)
         return trace.final != 0
 
-    return _run_sentences(config, err, work, emit)
+    return _run_sentences(config, out, err, work, emit)
 
 
 def run_check_grammar(config, out=None, err=None):

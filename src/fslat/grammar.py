@@ -9,9 +9,12 @@ Concrete syntax (one statement per `;`, `#` starts a comment):
 
 Pattern operators: juxtaposition concatenates, `|` is union, postfix `*`
 is Kleene star, `(...)` groups, `[...]` is option, `..` is the
-within-clause gap, `...` the anywhere gap, and `_` marks the target
-position inside a rule context.  Groups, options and constant references
-nest at most `MAX_NESTING` levels deep.
+within-clause gap, and `...` the anywhere gap.  Groups, options and
+constant references nest at most `MAX_NESTING` levels deep.
+
+`_` marks the target position in a rule context, exactly once per
+context and at its top level: not inside a group or option, not starred,
+and never in a target, a reject rule, a constant or a class.
 
 An implication rule accepts a string w iff for every factorization
 w = u x v with x in the target's language there is some context i with
@@ -22,6 +25,7 @@ it contains no occurrence of its pattern at all.
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass, replace
 
 from .automata import (
@@ -29,7 +33,6 @@ from .automata import (
     Alphabet,
     Alt,
     Dfa,
-    EPSILON,
     Opt,
     Pat,
     PatternError,
@@ -103,20 +106,21 @@ class Grammar:
 # Lexer
 # ---------------------------------------------------------------------------
 
-_PUNCT = {
-    "(": "LPAR",
-    ")": "RPAR",
-    "[": "LBRK",
-    "]": "RBRK",
-    "|": "PIPE",
-    "*": "STAR",
-    ",": "COMMA",
-    ";": "SEMI",
-    "_": "HOLE",
-    "!": "BANG",
-}
-
-_IDENT_STOP = set(" \t\r\n#()[];,|*_.=:")
+# One alternative per token kind, tried in order at each offset.  A name
+# may contain '<' and '>' but not start with '<': that form is reserved for
+# `<word>` symbols and markers.  A lone '.', ':' or unterminated '<' falls
+# through to BAD.
+_TOKENS = re.compile(
+    r"""
+      (?P<SPACE>[ \t\r\n]+ | \#[^\n]*)
+    | (?P<ANYGAP>\.\.\.) | (?P<GAP>\.\.) | (?P<CLASSDEF>:=) | (?P<ARROW>=>) | (?P<EQUALS>=)
+    | (?P<LPAR>\() | (?P<RPAR>\)) | (?P<LBRK>\[) | (?P<RBRK>\]) | (?P<PIPE>\|)
+    | (?P<STAR>\*) | (?P<COMMA>,) | (?P<SEMI>;) | (?P<HOLE>_) | (?P<BANG>!)
+    | (?P<NAME> <[^<>\n]*> | [^<\ \t\r\n\#()\[\];,|*_.=:] [^\ \t\r\n\#()\[\];,|*_.=:]*)
+    | (?P<BAD>.)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
 
 
 @dataclass(frozen=True)
@@ -130,74 +134,23 @@ class Token:
 
 def _lex(text):
     tokens = []
-    i = 0
-    line = 1
-    col = 1
-    n = len(text)
-
-    def advance(k):
-        nonlocal i, line, col
-        for _ in range(k):
-            if text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            advance(1)
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                advance(1)
-            continue
-        if text.startswith("...", i):
-            tokens.append(Token("ANYGAP", "...", line, col, i))
-            advance(3)
-            continue
-        if text.startswith("..", i):
-            tokens.append(Token("GAP", "..", line, col, i))
-            advance(2)
-            continue
-        if text.startswith(":=", i):
-            tokens.append(Token("CLASSDEF", ":=", line, col, i))
-            advance(2)
-            continue
-        if text.startswith("=>", i):
-            tokens.append(Token("ARROW", "=>", line, col, i))
-            advance(2)
-            continue
-        if ch == "=":
-            tokens.append(Token("EQUALS", "=", line, col, i))
-            advance(1)
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token(_PUNCT[ch], ch, line, col, i))
-            advance(1)
-            continue
-        if ch == "<":
-            j = i + 1
-            while j < n and text[j] not in "<>\n":
-                j += 1
-            if j >= n or text[j] != ">":
-                raise GrammarParseError("unterminated angle-bracket symbol", line, col)
-            word = text[i : j + 1]
-            tokens.append(Token("NAME", word, line, col, i))
-            advance(j + 1 - i)
-            continue
-        # identifiers may contain '<' and '>' as long as they do not start
-        # with '<' (that form is reserved for word symbols and markers)
-        j = i
-        while j < n and text[j] not in _IDENT_STOP:
-            j += 1
-        if j == i:
-            raise GrammarParseError(f"unexpected character {ch!r}", line, col)
-        tokens.append(Token("NAME", text[i:j], line, col, i))
-        advance(j - i)
-    tokens.append(Token("EOF", "", line, col, i))
+    line, line_start = 1, 0  # offset of the current line's first character
+    for match in _TOKENS.finditer(text):
+        kind, word, offset = match.lastgroup, match.group(), match.start()
+        col = offset - line_start + 1
+        if kind == "SPACE":
+            if "\n" in word:
+                line += word.count("\n")
+                line_start = offset + word.rindex("\n") + 1
+        elif kind == "BAD":
+            message = (
+                "unterminated angle-bracket symbol" if word == "<"
+                else f"unexpected character {word!r}"
+            )
+            raise GrammarParseError(message, line, col)
+        else:
+            tokens.append(Token(kind, word, line, col, offset))
+    tokens.append(Token("EOF", "", line, len(text) - line_start + 1, len(text)))
     return tokens
 
 
@@ -221,12 +174,18 @@ class _Parser:
             self.pos += 1
         return tok
 
-    def expect(self, kind):
+    def expect(self, kind, shown=None):
+        """The next token, which must be of `kind` (named `shown` in the
+        error).  Every `_` that is not at the top level of a rule context
+        ends up here, so this is where it is reported."""
         tok = self.next()
         if tok.kind != kind:
-            raise GrammarParseError(
-                f"expected {kind}, found {tok.text!r}", tok.line, tok.col
+            message = (
+                "'_' is only legal at the top level of a rule context"
+                if tok.kind == "HOLE"
+                else f"expected {shown or kind}, found {tok.text!r}"
             )
+            raise GrammarParseError(message, tok.line, tok.col)
         return tok
 
     def at(self, kind):
@@ -256,9 +215,7 @@ class _Parser:
     def parse_postfix(self):
         atom = self.parse_atom()
         while self.at("STAR"):
-            tok = self.next()
-            if isinstance(atom, _HoleMark):
-                raise GrammarParseError("'_' cannot be starred", tok.line, tok.col)
+            self.next()
             if not isinstance(atom, Star):  # X** is X*
                 atom = Star(atom)
         return atom
@@ -271,41 +228,36 @@ class _Parser:
             return Gap(within_clause=True)
         if tok.kind == "ANYGAP":
             return Gap(within_clause=False)
-        if tok.kind in ("LPAR", "LBRK"):
-            if self.depth == MAX_NESTING:
-                message = f"groups and options nest deeper than {MAX_NESTING} levels"
-                raise GrammarParseError(message, tok.line, tok.col)
-            self.depth += 1
-            inner = self.parse_alt()
-            self.depth -= 1
-            if tok.kind == "LPAR":
-                self.expect("RPAR")
-                return inner
-            self.expect("RBRK")
-            return Opt(inner)
-        if tok.kind == "HOLE":  # only a context steps onto `_`: a sequence stops before it
-            return _HoleMark(tok.line, tok.col)
-        raise GrammarParseError(f"unexpected {tok.text!r} in pattern", tok.line, tok.col)
+        # LPAR or LBRK
+        if self.depth == MAX_NESTING:
+            message = f"groups and options nest deeper than {MAX_NESTING} levels"
+            raise GrammarParseError(message, tok.line, tok.col)
+        self.depth += 1
+        inner = self.parse_alt()
+        self.depth -= 1
+        if tok.kind == "LPAR":
+            self.expect("RPAR")
+            return inner
+        self.expect("RBRK")
+        return Opt(inner)
 
     def parse_context(self):
-        """A context is a top-level sequence with exactly one `_`."""
+        """context := seq '_' seq.  Every `_` at the context's top level
+        is read before their count is checked, so a syntax error after a
+        second `_` is reported first."""
         first = self.peek()
-        items = []
-        while True:
-            kind = self.peek().kind
-            if kind in self._ATOM_STARTS or kind == "HOLE":
-                items.append(self.parse_postfix())
-            else:
-                break
-        holes = [i for i, item in enumerate(items) if isinstance(item, _HoleMark)]
-        if len(holes) != 1:
+        sides = [self.parse_seq()]
+        while self.at("HOLE"):
+            self.next()
+            if self.at("STAR"):
+                tok = self.peek()
+                raise GrammarParseError("'_' cannot be starred", tok.line, tok.col)
+            sides.append(self.parse_seq())
+        if len(sides) != 2:
             raise GrammarParseError(
                 "each rule context needs exactly one '_'", first.line, first.col
             )
-        k = holes[0]
-        left = _as_seq(items[:k])
-        right = _as_seq(items[k + 1 :])
-        return left, right
+        return tuple(sides)
 
 
 @dataclass(frozen=True)
@@ -318,20 +270,6 @@ class _NameRef(Pat):
     line: int = None
     col: int = None
     depth: int = 0
-
-
-@dataclass(frozen=True)
-class _HoleMark:
-    line: int
-    col: int
-
-
-def _as_seq(items):
-    if not items:
-        return EPSILON
-    if len(items) == 1:
-        return items[0]
-    return Seq(tuple(items))
 
 
 def _source_slice(text, start_tok, end_tok):
@@ -363,51 +301,32 @@ def parse_grammar(text):
             name = unique("! " + _source_slice(text, start, end))
             rules.append(RejectRule(name, pattern, line=tok.line))
             continue
-        if tok.kind == "NAME" and parser.peek(1).kind == "EQUALS":
-            name_tok = parser.next()
+        if tok.kind == "NAME" and parser.peek(1).kind in ("EQUALS", "CLASSDEF"):
             parser.next()
-            pattern = parser.parse_alt()
-            parser.expect("SEMI")
-            if name_tok.text in constants or name_tok.text in classes:
+            if parser.next().kind == "EQUALS":
+                table, value = constants, parser.parse_alt()
+                parser.expect("SEMI")
+            else:
+                members = []
+                while parser.at("NAME"):
+                    members.append(parser.next().text)
+                parser.expect("SEMI")
+                if not members:
+                    raise GrammarParseError(
+                        "a class needs at least one member symbol", tok.line, tok.col
+                    )
+                table, value = classes, tuple(members)
+            if tok.text in constants or tok.text in classes:
                 raise GrammarParseError(
-                    f"duplicate definition of {name_tok.text!r}",
-                    name_tok.line,
-                    name_tok.col,
+                    f"duplicate definition of {tok.text!r}", tok.line, tok.col
                 )
-            constants[name_tok.text] = pattern
-            continue
-        if tok.kind == "NAME" and parser.peek(1).kind == "CLASSDEF":
-            name_tok = parser.next()
-            parser.next()
-            members = []
-            while parser.at("NAME"):
-                members.append(parser.next().text)
-            parser.expect("SEMI")
-            if not members:
-                raise GrammarParseError(
-                    "a class needs at least one member symbol",
-                    name_tok.line,
-                    name_tok.col,
-                )
-            if name_tok.text in constants or name_tok.text in classes:
-                raise GrammarParseError(
-                    f"duplicate definition of {name_tok.text!r}",
-                    name_tok.line,
-                    name_tok.col,
-                )
-            classes[name_tok.text] = tuple(members)
+            table[tok.text] = value
             continue
         # implication rule: pattern '=>' contexts ';'
-        start = parser.peek()
+        start = tok
         target = parser.parse_alt()
         end = parser.peek()
-        if not parser.at("ARROW"):
-            raise GrammarParseError(
-                f"expected '=>', found {parser.peek().text!r}",
-                parser.peek().line,
-                parser.peek().col,
-            )
-        parser.next()
+        parser.expect("ARROW", "'=>'")
         contexts = [parser.parse_context()]
         while parser.at("COMMA"):
             parser.next()
@@ -539,24 +458,19 @@ class CompiledRule:
 _MARK = "\x00mark"
 
 
-def _partition(labels):
-    """Partition the symbols occurring in `labels` into blocks such that
-    every label is a disjoint union of blocks.  Returns (blocks,
-    label_to_block_ids), the blocks sorted by smallest symbol."""
-    membership = {}
-    for i, label in enumerate(labels):
-        for sym in label:
-            membership.setdefault(sym, []).append(i)
-    groups = {}
-    for sym in sorted(membership):  # so groups open in smallest-symbol order
-        groups.setdefault(tuple(membership[sym]), []).append(sym)
-    blocks = []
-    per_label = [[] for _ in labels]
-    for b, (members, syms) in enumerate(groups.items()):
-        blocks.append(frozenset(syms))
-        for i in members:
-            per_label[i].append(b)
-    return blocks, {label: tuple(bs) for label, bs in zip(labels, per_label)}
+def _refine(blocks, labels):
+    """`blocks` with each split by every label into the part inside it
+    and the part outside."""
+    for label in labels:
+        split = []
+        for block in blocks:
+            inside = block & label
+            if inside and inside != block:
+                split += (inside, block - inside)
+            else:
+                split.append(block)
+        blocks = split
+    return blocks
 
 
 def rule_blocks(resolved, alphabet):
@@ -569,19 +483,24 @@ def rule_blocks(resolved, alphabet):
     five ids an `Alphabet` reserves, so a rule with fewer blocks is split
     further, on the boundary symbols; no block is ever empty.
     """
-    labels = {alphabet.id_set(): None}
+    sigma = alphabet.id_set()
+    labels = {sigma: None}
 
     def collect(atom):
         labels[atom.ids] = None
         return atom
 
     _map_rule(resolved, lambda pat: _map_leaves(pat, collect))
-    labels = list(labels)
-    blocks, atom_blocks = _partition(labels)
+    blocks = _refine([sigma], labels)
     if len(blocks) < len(BOUNDARY_TEXTS):
         reserved = [frozenset((sym,)) for sym in range(len(BOUNDARY_TEXTS))]
-        blocks, atom_blocks = _partition(labels + reserved)
-    return tuple(blocks), atom_blocks
+        blocks = _refine(blocks, reserved)
+    blocks = tuple(sorted(blocks, key=min))
+    atom_blocks = {
+        label: tuple(b for b, block in enumerate(blocks) if block <= label)
+        for label in labels
+    }
+    return blocks, atom_blocks
 
 
 def compile_rule(rule, alphabet):

@@ -332,14 +332,15 @@ class TestArgs:
         assert config.format == "table"
         assert config.unknown == "open"
 
-    @pytest.mark.parametrize("limit", ["0", "-2"])
-    def test_limit_below_one_usage_error(self, resources, tmp_path, capsys, limit):
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_limit_below_one_usage_error(self, resources, tmp_path, capsys, value):
         path = write_input(tmp_path, "I see a bird.\n")
-        argv = ["parse", "--limit", limit, path]
-        for flag in ("lexicon", "map", "grammar"):
-            argv += [f"--{flag}", resources[flag]]
-        assert main(argv) == EXIT_USAGE
-        assert "--limit" in capsys.readouterr().err
+        for option in ("--limit", "--jobs"):
+            argv = ["parse", option, value, path]
+            for flag in ("lexicon", "map", "grammar"):
+                argv += [f"--{flag}", resources[flag]]
+            assert main(argv) == EXIT_USAGE
+            assert f"argument {option}: must be at least 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",
@@ -446,6 +447,29 @@ class TestParallel:
             run_parse, parse_config(resources, [path], jobs=3)
         )
         assert parallel == sequential
+
+
+class FlushRecorder(io.StringIO):
+    """A writer that keeps what had been written at each flush."""
+
+    def __init__(self):
+        super().__init__()
+        self.flushed = []
+
+    def flush(self):
+        self.flushed.append(self.getvalue())
+
+
+class TestStreaming:
+    def test_flushed_after_each_sentence(self, resources, tmp_path):
+        text = "I see a bird.\nWhat are you talking about?\nHenry dislikes her leaving so early.\n"
+        path = write_input(tmp_path, text)
+        out = FlushRecorder()
+        assert run_parse(parse_config(resources, [path]), out=out, err=io.StringIO()) == EXIT_OK
+        assert len(out.flushed) == 3
+        assert out.flushed[-1] == out.getvalue()
+        tables = [written.split("\n").count("\t\t\t\t@@") for written in out.flushed]
+        assert tables == [1, 2, 3]
 
 
 class TestCountSingleToken:

@@ -113,6 +113,107 @@ class TestParse:
         assert clb == frozenset(map(Alphabet().id_of, ("@/", "@<", "@>", "@@")))
 
 
+LEX_SOURCE = (
+    "# pinned\r\nK := <a b> @P<< N<@ ;\r\n\tX = ( A | B )* [ C ] ;  # tail\r\n"
+    "! X ... Y .. Z ;\r\nT => _ K , L _ ;"
+)
+
+LEX_TOKENS = [
+    ("NAME", "K", 2, 1, 10),
+    ("CLASSDEF", ":=", 2, 3, 12),
+    ("NAME", "<a b>", 2, 6, 15),
+    ("NAME", "@P<<", 2, 12, 21),
+    ("NAME", "N<@", 2, 17, 26),
+    ("SEMI", ";", 2, 21, 30),
+    ("NAME", "X", 3, 2, 34),
+    ("EQUALS", "=", 3, 4, 36),
+    ("LPAR", "(", 3, 6, 38),
+    ("NAME", "A", 3, 8, 40),
+    ("PIPE", "|", 3, 10, 42),
+    ("NAME", "B", 3, 12, 44),
+    ("RPAR", ")", 3, 14, 46),
+    ("STAR", "*", 3, 15, 47),
+    ("LBRK", "[", 3, 17, 49),
+    ("NAME", "C", 3, 19, 51),
+    ("RBRK", "]", 3, 21, 53),
+    ("SEMI", ";", 3, 23, 55),
+    ("BANG", "!", 4, 1, 66),
+    ("NAME", "X", 4, 3, 68),
+    ("ANYGAP", "...", 4, 5, 70),
+    ("NAME", "Y", 4, 9, 74),
+    ("GAP", "..", 4, 11, 76),
+    ("NAME", "Z", 4, 14, 79),
+    ("SEMI", ";", 4, 16, 81),
+    ("NAME", "T", 5, 1, 84),
+    ("ARROW", "=>", 5, 3, 86),
+    ("HOLE", "_", 5, 6, 89),
+    ("NAME", "K", 5, 8, 91),
+    ("COMMA", ",", 5, 10, 93),
+    ("NAME", "L", 5, 12, 95),
+    ("HOLE", "_", 5, 14, 97),
+    ("SEMI", ";", 5, 16, 99),
+    ("EOF", "", 5, 17, 100),
+]
+
+NEEDS_ONE_HOLE = "each rule context needs exactly one '_'"
+DEEP = "( " * (MAX_NESTING + 1) + "B" + " )" * (MAX_NESTING + 1)
+
+# (source, message, line, column)
+MALFORMED = {
+    "unterminated-angle": ("A => <w _ ;", "unterminated angle-bracket symbol", 1, 6),
+    "angle-across-lines": ("A => <w\n> _ ;", "unterminated angle-bracket symbol", 1, 6),
+    "lone-dot": ("A => B . _ ;", "unexpected character '.'", 1, 8),
+    "lone-colon": ("K : A ;", "unexpected character ':'", 1, 3),
+    "missing-hole": ("B => A C ;", NEEDS_ONE_HOLE, 1, 6),
+    "doubled-hole": ("B => A _ C _ ;", NEEDS_ONE_HOLE, 1, 6),
+    "starred-hole": ("B => A _* ;", "'_' cannot be starred", 1, 9),
+    "starred-second-hole": ("A => _ _* ;", "'_' cannot be starred", 1, 9),
+    "error-after-second-hole": ("A => _ B _ ( C ;", "expected RPAR, found ';'", 1, 16),
+    "zero-contexts": ("@/ => ;", NEEDS_ONE_HOLE, 1, 7),
+    "empty-second-context": ("B => _ , A ;", NEEDS_ONE_HOLE, 1, 10),
+    "duplicate-class": ("A = X ;\nA := Y ;", "duplicate definition of 'A'", 2, 1),
+    "duplicate-constant": ("A := X ;\nA = Y ;", "duplicate definition of 'A'", 2, 1),
+    "nesting-bound": (
+        f"X => {DEEP} _ ;",
+        f"groups and options nest deeper than {MAX_NESTING} levels",
+        1,
+        6 + 2 * MAX_NESTING,
+    ),
+}
+
+MISPLACED_HOLE = {
+    "group": ("A => ( _ ) ;", 1, 8),
+    "option": ("A => [ B _ ] ;", 1, 10),
+    "target": ("_ => A _ ;", 1, 1),
+    "target-union": ("B | _ => A _ ;", 1, 5),
+    "reject": ("! _ ;", 1, 3),
+    "constant": ("K = A\n  _ ;", 2, 3),
+    "class": ("K := A _ ;", 1, 8),
+}
+
+
+class TestFrontEnd:
+    def test_tokens_pinned(self):
+        tokens = grammar_module._lex(LEX_SOURCE)
+        assert [(t.kind, t.text, t.line, t.col, t.offset) for t in tokens] == LEX_TOKENS
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_grammar_pinned(self, case):
+        source, message, line, col = MALFORMED[case]
+        with pytest.raises(GrammarParseError) as err:
+            parse_grammar(source)
+        assert str(err.value) == f"{message} (line {line}, column {col})"
+        assert (err.value.line, err.value.col) == (line, col)
+
+    @pytest.mark.parametrize("case", sorted(MISPLACED_HOLE))
+    def test_misplaced_hole(self, case):
+        source, line, col = MISPLACED_HOLE[case]
+        with pytest.raises(GrammarParseError) as err:
+            parse_grammar(source)
+        message = "'_' is only legal at the top level of a rule context"
+        assert str(err.value) == f"{message} (line {line}, column {col})"
+
+
 class TestExpandConstants:
     def test_inline_twice(self, abc):
         grammar = expand_constants(parse_grammar("K = A B ;\nX => K _ K ;"))
