@@ -109,7 +109,7 @@ def parse_args(argv):
 
 def _read(path, err):
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             return handle.read()
     except OSError as exc:
         print(f"fslat: cannot read {path}: {exc}", file=err)

@@ -9,12 +9,15 @@ The quoted headword carries angle brackets; a leading `*` inside them is a
 capitalization flag (normalized away from the key, the readings keep their
 `<*>` marker) and a leading `$` marks punctuation.  An entry with no
 reading lines, like ("<$.>"), synthesizes one reading whose single tag is
-the punctuation category of the surface character.  Lines starting with
-`#` are comments.
+the punctuation category of the surface character.  Two entries with the
+same key are an error.  `#` starts a comment where a token may start; inside
+a tag, as in `D#1`, it is text.  `fslat` reads files as `utf-8-sig`, so a
+file may start with a byte-order mark.
 """
 
 from __future__ import annotations
 
+import re
 import warnings
 from dataclasses import dataclass
 
@@ -106,60 +109,39 @@ def _punct_reading(key):
     return MorphReading(key, (), (tag,))
 
 
-class _Scanner:
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-        self.line = 1
+_TOKENS = re.compile(
+    r"""
+      (?P<SPACE>[ \t\r\n]+ | \#[^\n]*)
+    | (?P<LPAR>\() | (?P<RPAR>\))
+    | (?P<QUOTED>"[^"\n]*") | (?P<OPENQUOTE>")
+    | (?P<MARKER><[^>\n]*>) | (?P<OPENMARKER><)
+    | (?P<TAG>[^ \t\r\n()"<]+)
+    """,
+    re.VERBOSE,
+)
 
-    def skip_space(self):
-        text = self.text
-        while self.pos < len(text):
-            ch = text[self.pos]
-            if ch == "\n":
-                self.line += 1
-                self.pos += 1
-            elif ch in " \t\r":
-                self.pos += 1
-            elif ch == "#":
-                while self.pos < len(text) and text[self.pos] != "\n":
-                    self.pos += 1
-            else:
-                return
 
-    def peek(self):
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+def _lex(text):
+    """(kind, text, line) for each token, then ("EOF", "", line).  Every character
+    is in some token: an unterminated quote or marker is a token of its own."""
+    line = 1
+    for match in _TOKENS.finditer(text):
+        kind, word = match.lastgroup, match.group()
+        if kind == "SPACE":
+            line += word.count("\n")
+        else:
+            yield kind, word, line
+    yield "EOF", "", line
 
-    def take(self, ch):
-        if self.peek() != ch:
-            raise LexiconError(f"expected {ch!r}, found {self.peek()!r}", self.line)
-        self.pos += 1
 
-    def quoted(self):
-        self.take('"')
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] not in '"\n':
-            self.pos += 1
-        if self.peek() != '"':
-            raise LexiconError("missing closing quote", self.line)
-        value = self.text[start : self.pos]
-        self.pos += 1
-        return value
-
-    def marker(self):
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] not in ">\n":
-            self.pos += 1
-        if self.peek() != ">":
-            raise LexiconError("missing closing '>' in marker", self.line)
-        self.pos += 1
-        return self.text[start : self.pos]
-
-    def tag(self):
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] not in ' \t\r\n()"<':
-            self.pos += 1
-        return self.text[start : self.pos]
+def _expect(token, kind, shown):
+    """The text and line of `token`, which must be of `kind`."""
+    found, word, line = token
+    if found == "OPENQUOTE" and kind == "QUOTED":
+        raise LexiconError("missing closing quote", line)
+    if found != kind:
+        raise LexiconError(f"expected {shown!r}, found {word[:1]!r}", line)
+    return word, line
 
 
 def parse_lexicon(text, policy="open"):
@@ -167,71 +149,58 @@ def parse_lexicon(text, policy="open"):
 
     One entry per top-level group; the quoted headword is the surface key;
     each inner group is one reading.  Duplicate identical readings within
-    an entry collapse with a warning.
+    an entry collapse with a warning; a second entry for a key is an error.
     """
-    scanner = _Scanner(text)
+    tokens = _lex(text)  # pulled one at a time, so the first error is the one raised
     entries = {}
-    scanner.skip_space()
-    if not scanner.peek():
-        raise LexiconError("empty lexicon file", scanner.line)
-    while scanner.peek():
-        scanner.take("(")
-        scanner.skip_space()
-        quoted = scanner.quoted()
-        if not (quoted.startswith("<") and quoted.endswith(">")):
+    token = next(tokens)
+    while token[0] != "EOF":
+        _expect(token, "LPAR", "(")
+        quoted, line = _expect(next(tokens), "QUOTED", '"')
+        if not (quoted.startswith('"<') and quoted.endswith('>"')):
             raise LexiconError(
-                f"headword {quoted!r} must be written inside angle brackets",
-                scanner.line,
+                f"headword {quoted[1:-1]!r} must be written inside angle brackets", line
             )
-        headword = quoted[1:-1]
+        headword = quoted[2:-2]
         if not headword:
-            raise LexiconError("empty headword", scanner.line)
+            raise LexiconError("empty headword", line)
+        key = surface_key(headword)
+        if key in entries:
+            raise LexiconError(f"duplicate entry for {key!r}", line)
         readings = []
-        scanner.skip_space()
-        while scanner.peek() == "(":
-            line = scanner.line
-            scanner.take("(")
-            scanner.skip_space()
-            base = scanner.quoted()
-            markers = []
-            tags = []
-            scanner.skip_space()
-            while scanner.peek() and scanner.peek() != ")":
-                if scanner.peek() == "<":
-                    if tags:
-                        raise LexiconError(
-                            "markers must precede tags in a reading", scanner.line
-                        )
-                    markers.append(scanner.marker())
+        token = next(tokens)
+        while token[0] == "LPAR":
+            base = _expect(next(tokens), "QUOTED", '"')[0][1:-1]
+            markers, tags = [], []
+            for kind, word, line in tokens:
+                if kind == "TAG":
+                    tags.append(word)
+                elif kind in ("RPAR", "EOF"):
+                    break
+                elif kind not in ("MARKER", "OPENMARKER"):
+                    raise LexiconError("malformed reading", line)
+                elif tags:
+                    raise LexiconError("markers must precede tags in a reading", line)
+                elif kind == "OPENMARKER":
+                    raise LexiconError("missing closing '>' in marker", line)
                 else:
-                    tag = scanner.tag()
-                    if not tag:
-                        raise LexiconError("malformed reading", scanner.line)
-                    tags.append(tag)
-                scanner.skip_space()
-            scanner.take(")")
+                    markers.append(word)
+            _expect((kind, word, line), "RPAR", ")")
             if not tags:
-                raise LexiconError(
-                    f"reading for {base!r} has no tags", line
-                )
+                raise LexiconError(f"reading for {base!r} has no tags", token[2])
             reading = MorphReading(base, tuple(markers), tuple(tags))
             if reading in readings:
-                warnings.warn(
-                    f"duplicate reading for <{headword}> collapsed: {reading}",
-                    DuplicateReadingWarning,
-                    stacklevel=2,
-                )
+                message = f"duplicate reading for <{headword}> collapsed: {reading}"
+                warnings.warn(message, DuplicateReadingWarning, stacklevel=2)
             else:
                 readings.append(reading)
-            scanner.skip_space()
-        scanner.take(")")
-        key = surface_key(headword)
-        if readings:
-            entry = Entry(headword, tuple(readings))
-        else:
-            entry = Entry(headword, (_punct_reading(key),), synthesized=True)
-        entries[key] = entry
-        scanner.skip_space()
+            token = next(tokens)
+        _expect(token, "RPAR", ")")
+        synthesized = not readings
+        entries[key] = Entry(headword, tuple(readings or [_punct_reading(key)]), synthesized)
+        token = next(tokens)
+    if not entries:
+        raise LexiconError("empty lexicon file", token[2])
     return Lexicon(entries, policy)
 
 

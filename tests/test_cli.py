@@ -438,6 +438,19 @@ def test_property_no_lexicon_tag_or_word_raises(command, tags, words, unknown):
         assert err.getvalue().startswith("fslat")
 
 
+class TestByteOrderMark:
+    @pytest.mark.parametrize("name", ["lexicon", "map", "grammar", "input"])
+    def test_bom_file_reads_as_plain(self, resources, tmp_path, name):
+        paths = dict(resources, input=write_input(tmp_path, "I see a bird.\n"))
+        plain = run_to_string(run_parse, parse_config(resources, [paths["input"]]))
+        bom = tmp_path / f"bom-{name}"
+        bom.write_text("\ufeff" + Path(paths[name]).read_text(encoding="utf-8"), encoding="utf-8")
+        paths[name] = str(bom)
+        inputs = [paths.pop("input")]
+        assert run_to_string(run_parse, parse_config(paths, inputs)) == plain
+        assert plain[0] == EXIT_OK
+
+
 class TestParallel:
     def test_jobs_output_order_stable(self, resources, tmp_path):
         text = "I see a bird.\nWhat are you talking about?\nHenry dislikes her leaving so early.\n"
