@@ -637,6 +637,11 @@ class Chain:
     `Chain(dfa)` reduces, trims and counts an acyclic DFA by the walk a
     step runs, against a one-state Sigma* DFA.  Raises
     InfiniteLanguageError if the walk meets a cycle.
+
+    The walk (`_register_product`) steps each unary run of the chain, a
+    row of one-edge, one-symbol, non-final classes, in a loop and opens a
+    stack frame only where the chain branches, so a step's cost follows
+    the branching pairs more than the symbols.
     """
 
     __slots__ = ("alphabet", "transitions", "finals", "start", "count")
@@ -715,56 +720,116 @@ def _register_product(a, start, b):
     `reduce_acyclic(intersect(a, b))`, and is `empty_dfa` when nothing
     survives.
 
+    Most pairs of a lattice-shaped `a` sit on unary runs, where `a`'s state
+    is not final and has one edge, labelled with one symbol.  A run is
+    stepped in a loop, one lookup in `b` per symbol, up to the first pair
+    that branches, is already settled or cannot step; only a branching
+    pair gets a stack frame, which carries the run, and the run's pairs
+    are settled after it, last first.  So a step's cost follows the
+    branching pairs, plus one lookup per symbol on the runs.  Wherever it
+    is settled, a non-final class with one merged edge is registered under
+    `(successor class, label)`, so equal right languages share one class
+    either way.
+
     Raises InfiniteLanguageError if the walk meets a cycle, which the
     product of an acyclic `a` has none of.
     """
     product = _product_edges(a, b)
+    a_transitions = a.transitions
     a_finals = a.finals
+    b_index = b._symbol_index()
     b_finals = b.finals
     on_stack = -2  # class of a pair whose successors are still being walked
     root = (start, 0)
     cls = {root: on_stack}  # pair -> class id, or -1 once known dead
-    register = {}  # (final, frozenset of (class, label)) -> class id
+    unary = {}  # (successor class, label) -> id of a non-final one-edge class
+    register = {}  # (final, frozenset of (class, label)) -> id of other classes
     transitions = []  # merged edges of each class, by class id
     finals = set()
     counts = []  # accepted strings from each class, by class id
-    edges = product(*root)
-    stack = [(root, edges, iter(edges))]
-    while stack:
-        pair, edges, targets = stack[-1]
-        for target in targets:
-            c = cls.get(target)
-            if c is None:
-                cls[target] = on_stack
-                target_edges = product(*target)
-                stack.append((target, target_edges, iter(target_edges)))
-                break
-            if c == on_stack:
-                raise InfiniteLanguageError("the product walk met a cycle")
-        else:  # every successor is settled: settle `pair`
-            stack.pop()
+    stack = []  # frames (pair, product edges, their iterator, run into pair)
+    pair = root  # a newly reached pair, marked on_stack, still to be entered
+    while True:
+        if pair is not None:  # step the unary run from `pair`
+            run = []  # (pair, label) of each pair stepped, in walk order
+            c = None
+            while True:
+                sa, sb = pair
+                a_edges = a_transitions[sa]
+                if len(a_edges) != 1 or sa in a_finals:
+                    break
+                label, da = a_edges[0]
+                if len(label) != 1:
+                    break
+                run.append((pair, label))
+                (sym,) = label
+                db = b_index[sb].get(sym)
+                if db is None:  # `b` cannot step the symbol: the run is dead
+                    c = -1
+                    break
+                pair = (da, db)
+                c = cls.get(pair)
+                if c is not None:
+                    if c == on_stack:
+                        raise InfiniteLanguageError("the product walk met a cycle")
+                    break
+                cls[pair] = on_stack
+            if c is None:  # the run ends at a pair that branches
+                edges = product(sa, sb)
+                stack.append((pair, edges, iter(edges), run))
+                pair = None
+                continue
+            pair = None
+        elif stack:
+            top, edges, targets, run = stack[-1]
+            for target in targets:
+                c = cls.get(target)
+                if c is None:
+                    cls[target] = on_stack
+                    pair = target
+                    break
+                if c == on_stack:
+                    raise InfiniteLanguageError("the product walk met a cycle")
+            if pair is not None:
+                continue
+            stack.pop()  # every successor is settled: settle `top`
             merged = {}
             for target, label in edges.items():
                 c = cls[target]
                 if c >= 0:
                     got = merged.get(c)
                     merged[c] = label if got is None else got | label
-            final = pair[0] in a_finals and pair[1] in b_finals
-            if not merged and not final:
-                cls[pair] = -1
-                continue
-            signature = (final, frozenset(merged.items()))
-            c = register.get(signature)
-            if c is None:
-                c = register[signature] = len(transitions)
-                count = 1 if final else 0
-                for d, label in merged.items():
-                    count += len(label) * counts[d]
-                counts.append(count)
-                if final:
-                    finals.add(c)
-                transitions.append([(label, d) for d, label in merged.items()])
-            cls[pair] = c
+            final = top[0] in a_finals and top[1] in b_finals
+            if not final and len(merged) == 1:  # keyed as a run's pair, with the run
+                ((c, label),) = merged.items()
+                run.append((top, label))
+            elif not merged and not final:
+                c = cls[top] = -1
+            else:
+                signature = (final, frozenset(merged.items()))
+                c = register.get(signature)
+                if c is None:
+                    c = register[signature] = len(transitions)
+                    count = 1 if final else 0
+                    for d, label in merged.items():
+                        count += len(label) * counts[d]
+                    counts.append(count)
+                    if final:
+                        finals.add(c)
+                    transitions.append([(label, d) for d, label in merged.items()])
+                cls[top] = c
+        else:
+            break
+        for p, label in reversed(run):  # settle the run into class `c`
+            if c >= 0:
+                key = (c, label)
+                got = unary.get(key)
+                if got is None:
+                    got = unary[key] = len(transitions)
+                    counts.append(len(label) * counts[c])
+                    transitions.append([(label, c)])
+                c = got
+            cls[p] = c
     start = cls[root]
     if start < 0:  # nothing survives: one non-accepting class, as empty_dfa
         return [[]], frozenset(), 0, 0

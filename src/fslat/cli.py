@@ -157,10 +157,11 @@ def _load_pipeline(config, err):
 
 
 def _input_tokens(config, err):
-    """Tokens of the input files, or of stdin read one line at a time."""
+    """Tokens of the input files, or of stdin read one line at a time.  A
+    byte-order mark that starts stdin is dropped, as in a file."""
     if not config.inputs:
-        for line in sys.stdin:
-            yield from tokenize(line)
+        for number, line in enumerate(sys.stdin):
+            yield from tokenize(line if number else line.removeprefix("\ufeff"))
         return
     for path in config.inputs:
         text = _read(path, err)

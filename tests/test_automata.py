@@ -285,6 +285,28 @@ class TestIntersectMinimal:
         assert (got.transitions, got.finals) == (chain.transitions, chain.finals)
         assert count == 2**n
 
+    def test_long_unary_run_does_not_recurse(self):
+        # one single-symbol edge a state: stepped as one run, with no frames
+        alph = Alphabet(["A", "B"])
+        a, b = (frozenset(ids(alph, t)) for t in ("A", "B"))
+        n = 100_000
+        run = [((a, i + 1),) for i in range(n)]
+        chain = Chain(Dfa(alph, run + [((a | b, n + 1),), ()], (n + 1,)))
+        assert chain.count == 2
+        a_star = Dfa(alph, [((a, 0),)], (0,))
+        got, count = chain.intersect(a_star)
+        assert count == 1
+        assert len(got.transitions) == n + 2
+
+    def test_unary_cycle_raises(self):
+        # 2 -A-> 3 -B-> 2 is the only cycle, entered from 1 by a run; all
+        # three states are unary and not final
+        alph = Alphabet(["A", "B"])
+        a, b = (frozenset(ids(alph, t)) for t in ("A", "B"))
+        dfa = Dfa(alph, [((a, 1), (b, 4)), ((b, 2),), ((a, 3),), ((b, 2),), ()], (4,))
+        with pytest.raises(InfiniteLanguageError):
+            Chain(dfa)
+
 
 class TestChain:
     def _dfa(self, alph, pat):
@@ -662,6 +684,44 @@ def dags(draw, max_states=8):
     return Dfa(_PROP_ALPHABET, transitions, finals)
 
 
+_LATTICE_LABELS = tuple(frozenset((sym,)) for sym in _PROP_SYMS) * 4 + tuple(
+    frozenset(_PROP_SYMS) - {sym} for sym in _PROP_SYMS
+)
+
+
+@st.composite
+def lattices(draw):
+    """Random lattice-shaped acyclic DFAs over the three symbols: branch
+    states joined by one to three runs of one-edge states.  Most run labels
+    hold one symbol and some hold two, and some run states are final.  A
+    run ends at the next branch state, which every run after the first
+    rejoins, or now and then in a dead state."""
+    transitions = [[]]
+    finals = set()
+    branch = 0
+    for _ in range(draw(st.integers(1, 4))):
+        join = len(transitions)
+        transitions.append([])
+        firsts = draw(st.permutations(_PROP_SYMS))[: draw(st.integers(1, 3))]
+        for first in firsts:
+            src, label = branch, frozenset((first,))
+            for _ in range(draw(st.integers(0, 12))):
+                transitions.append([])
+                transitions[src].append((label, len(transitions) - 1))
+                src = len(transitions) - 1
+                if draw(st.integers(0, 9)) == 0:
+                    finals.add(src)
+                label = draw(st.sampled_from(_LATTICE_LABELS))
+            dst = join
+            if draw(st.integers(0, 5)) == 0:
+                dst = len(transitions)
+                transitions.append([])
+            transitions[src].append((label, dst))
+        branch = join
+    finals.add(branch)
+    return Dfa(_PROP_ALPHABET, transitions, finals)
+
+
 @settings(max_examples=500, deadline=None)
 @given(dags(), dfas())
 def test_property_intersect_minimal_is_reduced_product(a, b):
@@ -704,9 +764,7 @@ def rule_lists(draw):
     return rules
 
 
-@settings(max_examples=500, deadline=None)
-@given(dags(), rule_lists())
-def test_property_chain_fold_is_reduced_product_fold(a, rules):
+def _assert_chain_fold_is_reduced_product_fold(a, rules):
     chain = Chain(a)
     want = reduce_acyclic(a)
     assert chain.count == count_paths(a)
@@ -718,3 +776,15 @@ def test_property_chain_fold_is_reduced_product_fold(a, rules):
     assert (got.n_states, got.transitions, got.finals) == (
         want.n_states, want.transitions, want.finals,
     )
+
+
+@settings(max_examples=500, deadline=None)
+@given(dags(), rule_lists())
+def test_property_chain_fold_is_reduced_product_fold(a, rules):
+    _assert_chain_fold_is_reduced_product_fold(a, rules)
+
+
+@settings(max_examples=500, deadline=None)
+@given(lattices(), st.lists(dfas(), min_size=1, max_size=5))
+def test_property_chain_runs_fold_is_reduced_product_fold(a, rules):
+    _assert_chain_fold_is_reduced_product_fold(a, rules)

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import os
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -448,6 +449,13 @@ class TestByteOrderMark:
         paths[name] = str(bom)
         inputs = [paths.pop("input")]
         assert run_to_string(run_parse, parse_config(paths, inputs)) == plain
+        assert plain[0] == EXIT_OK
+
+    def test_bom_stdin_reads_as_plain(self, resources, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("I see a bird.\n"))
+        plain = run_to_string(run_parse, parse_config(resources, []))
+        monkeypatch.setattr(sys, "stdin", io.StringIO("\ufeffI see a bird.\n"))
+        assert run_to_string(run_parse, parse_config(resources, [])) == plain
         assert plain[0] == EXIT_OK
 
 

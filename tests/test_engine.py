@@ -118,6 +118,21 @@ class TestApplyGrammar:
             apply_grammar(lattice, demo_pipeline.rules)
             assert len(calls) == 1
 
+    def test_demo_survivors_are_minimal(self, demo_pipeline):
+        # a kernel that leaves two classes with one right language keeps
+        # every count and reading, but not the minimal DFA
+        from fslat import data
+
+        texts = data.read("sample_sentences.txt").splitlines() + [data.read("stress39.txt")]
+        assert len(texts) == 9
+        for text in texts:
+            lattice = demo_pipeline.lattice_for(tokenize(text))
+            got = apply_grammar(lattice, demo_pipeline.rules)[0].automaton
+            want = reduce_acyclic(got)
+            assert (got.n_states, got.transitions, got.finals) == (
+                want.n_states, want.transitions, want.finals,
+            ), text
+
     def test_counts_monotone(self):
         pipe = tiny_pipeline(TINY_GRAMMAR)
         lattice = pipe.lattice_for(tokenize("I see a bird."))
