@@ -8,14 +8,13 @@
     fslat check-grammar --grammar PATH [--lexicon PATH]
 
 Each command accepts only the flags shown for it.  Input files (or stdin)
-are tokenized, split into sentences at . ? ! and processed one sentence at
-a time; output is flushed after each sentence.  `--jobs N` (at least 1)
-runs N sentences at once on a thread pool; with N above 1 the whole input
-is read before the first sentence is emitted, because the pool's `map`
-submits every sentence up front.  Exit codes: 0 success; 1 usage or
-resource error, an unknown word under `--unknown closed`, or a lexicon tag
-that collides with a registered function, clause or boundary tag; 2
-grammar error; 3 at least one sentence lost all readings.
+are tokenized, split into sentences at . ? ! and run one sentence at a
+time, each one's output flushed before the next is read, so output streams
+for every `--jobs` value.  `--jobs N` must be at least 1 and has no other
+effect.  Exit codes: 0 success; 1 usage or resource error, an unknown word
+under `--unknown closed`, a lexicon tag that collides with a registered
+function, clause or boundary tag, or a closed stdout; 2 grammar error; 3 at
+least one sentence lost all readings.
 
 Table output prints one row per token (surface, morphology, function tag,
 clause-function tag, following boundary) separated by single TABs, with a
@@ -34,8 +33,9 @@ output is byte-stable across runs.
 from __future__ import annotations
 
 import argparse
+import math
+import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .automata import complement, is_empty
@@ -117,43 +117,40 @@ def _read(path, err):
 
 
 def _load_pipeline(config, err):
-    missing = [
-        flag
-        for flag, value in (
-            ("--lexicon", config.lexicon),
-            ("--map", config.map),
-            ("--grammar", config.grammar),
-        )
-        if value is None
-    ]
+    """The command's Pipeline and EXIT_OK, or None and an exit code after
+    `fslat` lines on `err`.  `check-grammar` requires only `--grammar`;
+    without `--lexicon` or `--map` it builds over an empty lexicon and no
+    map."""
+    paths = {"--lexicon": config.lexicon, "--map": config.map, "--grammar": config.grammar}
+    required = ("--grammar",) if config.command == "check-grammar" else tuple(paths)
+    missing = [flag for flag in required if paths[flag] is None]
     if missing:
         print(
             f"fslat {config.command}: missing required {', '.join(missing)}", file=err
         )
         return None, EXIT_USAGE
-    lex_text = _read(config.lexicon, err)
-    map_text = _read(config.map, err)
-    grammar_text = _read(config.grammar, err)
-    if None in (lex_text, map_text, grammar_text):
+    texts = {flag: _read(path, err) for flag, path in paths.items() if path is not None}
+    if None in texts.values():
         return None, EXIT_USAGE
     registry = default_registry()
     try:
-        lexicon = parse_lexicon(lex_text, policy=config.unknown)
+        lexicon = Lexicon({})
+        if "--lexicon" in texts:
+            lexicon = parse_lexicon(texts["--lexicon"], policy=config.unknown)
+        smap = None
+        if "--map" in texts:
+            smap = parse_syntactic_map(texts["--map"], registry)
+        grammar = parse_grammar(texts["--grammar"])
+        return Pipeline.build(lexicon, smap, grammar, registry), EXIT_OK
     except LexiconError as exc:
         print(f"fslat: lexicon error: {exc}", file=err)
         return None, EXIT_USAGE
-    try:
-        smap = parse_syntactic_map(map_text, registry)
     except MapError as exc:
         print(f"fslat: map error: {exc}", file=err)
         return None, EXIT_USAGE
-    try:
-        grammar = parse_grammar(grammar_text)
-        pipeline = Pipeline.build(lexicon, smap, grammar, registry)
     except GrammarError as exc:
         print(f"fslat: grammar error: {exc}", file=err)
         return None, EXIT_GRAMMAR
-    return pipeline, EXIT_OK
 
 
 def _input_tokens(config, err):
@@ -237,26 +234,15 @@ def render_records(result, sentence_index):
 # ---------------------------------------------------------------------------
 
 
-def _map_sentences(config, sentences, worker):
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            yield from pool.map(worker, sentences)
-    else:
-        for sentence in sentences:
-            yield worker(sentence)
-
-
-def _run_sentences(config, out, err, work, emit):
-    """Run `work(tokens)` on every input sentence and hand each result to
-    `emit(index, tokens, result)` in input order, flushing `out` after
-    each; `emit` returns False for a sentence that lost every reading.
-    The only place where bad input becomes an exit code."""
+def _run_sentences(config, out, err, step):
+    """Run `step(index, tokens)` on each input sentence in turn, flushing
+    `out` after each; `step` returns False for a sentence that lost every
+    reading.  The only place where bad input becomes an exit code."""
     exit_code = EXIT_OK
     try:
         sentences = split_sentences(_input_tokens(config, err))
-        results = _map_sentences(config, sentences, lambda tokens: (tokens, work(tokens)))
-        for index, (tokens, result) in enumerate(results, start=1):
-            if not emit(index, tokens, result):
+        for index, tokens in enumerate(sentences, start=1):
+            if not step(index, tokens):
                 exit_code = EXIT_EMPTY
             out.flush()
     except FileNotFoundError:
@@ -275,11 +261,9 @@ def run_parse(config, out=None, err=None):
         return status
     first = True
 
-    def work(tokens):
-        return pipeline.parse_sentence(tokens, limit=config.limit)
-
-    def emit(index, tokens, result):
+    def step(index, tokens):
         nonlocal first
+        result = pipeline.parse_sentence(tokens, limit=config.limit)
         if result.status == "empty":
             names = ", ".join(result.diagnosis) or "(no single rule responsible)"
             print(
@@ -297,7 +281,7 @@ def run_parse(config, out=None, err=None):
         first = False
         return True
 
-    return _run_sentences(config, out, err, work, emit)
+    return _run_sentences(config, out, err, step)
 
 
 def run_count(config, out=None, err=None):
@@ -310,22 +294,17 @@ def run_count(config, out=None, err=None):
         return status
     print("# sentence\tmorph\t+boundaries\t+syntax\tafter-grammar", file=out)
 
-    def work(tokens):
+    def step(index, tokens):
         lattice = pipeline.lattice_for(tokens)
-        morph = 1
-        for readings, _ in lattice.per_token_ambiguity:
-            morph *= readings
-        with_boundaries = morph * 4 ** lattice.boundary_slots
+        morph = math.prod(readings for readings, _ in lattice.per_token_ambiguity)
+        with_boundaries = morph * 4 ** (len(lattice.cohorts) - 1)
         _, trace = apply_grammar(lattice, pipeline.rules)
         # the lattice's own count is the first step's `before`
         with_syntax = trace.steps[0].before if trace.steps else trace.final
-        return morph, with_boundaries, with_syntax, trace.final
+        print(index, morph, with_boundaries, with_syntax, trace.final, sep="\t", file=out)
+        return trace.final != 0
 
-    def emit(index, tokens, counts):
-        print(index, *counts, sep="\t", file=out)
-        return counts[-1] != 0
-
-    return _run_sentences(config, out, err, work, emit)
+    return _run_sentences(config, out, err, step)
 
 
 def run_trace(config, out=None, err=None):
@@ -335,18 +314,15 @@ def run_trace(config, out=None, err=None):
     if pipeline is None:
         return status
 
-    def work(tokens):
+    def step(index, tokens):
         _, trace = apply_grammar(pipeline.lattice_for(tokens), pipeline.rules)
-        return trace
-
-    def emit(index, tokens, trace):
         print(f"# sentence {index}: {' '.join(tokens)}", file=out)
         for line in trace.lines(header=True):
             print(line, file=out)
         print(f"# final\t{trace.final}", file=out)
         return trace.final != 0
 
-    return _run_sentences(config, out, err, work, emit)
+    return _run_sentences(config, out, err, step)
 
 
 def run_check_grammar(config, out=None, err=None):
@@ -354,29 +330,9 @@ def run_check_grammar(config, out=None, err=None):
     (language = sigma*) and unsatisfiable rules (language = empty)."""
     out = out or sys.stdout
     err = err or sys.stderr
-    if config.grammar is None:
-        print("fslat check-grammar: missing required --grammar", file=err)
-        return EXIT_USAGE
-    text = _read(config.grammar, err)
-    if text is None:
-        return EXIT_USAGE
-    registry = default_registry()
-    lexicon = None
-    if config.lexicon:
-        lex_text = _read(config.lexicon, err)
-        if lex_text is None:
-            return EXIT_USAGE
-        try:
-            lexicon = parse_lexicon(lex_text)
-        except LexiconError as exc:
-            print(f"fslat: lexicon error: {exc}", file=err)
-            return EXIT_USAGE
-    try:
-        grammar = parse_grammar(text)
-        pipeline = Pipeline.build(lexicon or Lexicon({}), None, grammar, registry)
-    except GrammarError as exc:
-        print(f"fslat: grammar error: {exc}", file=err)
-        return EXIT_GRAMMAR
+    pipeline, status = _load_pipeline(config, err)
+    if pipeline is None:
+        return status
     print(f"rules: {len(pipeline.rules)}", file=out)
     flagged = 0
     for rule in pipeline.rules:
@@ -404,7 +360,13 @@ def main(argv=None):
         "trace": run_trace,
         "check-grammar": run_check_grammar,
     }[config.command]
-    return handler(config)
+    try:
+        return handler(config)
+    except BrokenPipeError:
+        # the reader of stdout has gone: point its descriptor at the null
+        # device, so that the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

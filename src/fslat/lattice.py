@@ -20,7 +20,8 @@ checked here; balancing is a grammar's job.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 from .automata import BOUNDARY_TEXTS, Dfa, Nfa, count_paths, determinize
 
@@ -240,16 +241,9 @@ class SentenceLattice:
     cohorts: tuple  # of MappedCohort
     registry: TagRegistry
     per_token_ambiguity: tuple  # of (reading count, reading x tag combinations)
-    boundary_slots: int
 
     def with_automaton(self, dfa):
-        return SentenceLattice(
-            dfa,
-            self.cohorts,
-            self.registry,
-            self.per_token_ambiguity,
-            self.boundary_slots,
-        )
+        return replace(self, automaton=dfa)
 
 
 def build_lattice(cohorts, registry, alphabet):
@@ -325,7 +319,7 @@ def build_lattice(cohorts, registry, alphabet):
 
     dfa = determinize(nfa)
     ambiguity = tuple((len(c.readings), c.combinations) for c in cohorts)
-    return SentenceLattice(dfa, tuple(cohorts), registry, ambiguity, len(cohorts) - 1)
+    return SentenceLattice(dfa, tuple(cohorts), registry, ambiguity)
 
 
 def reading_count(lattice):
@@ -337,7 +331,5 @@ def closed_form_count(lattice):
     """Product over tokens of their combination counts times 4^(internal
     boundaries); equals reading_count for a freshly built lattice whose
     readings have distinct printed forms."""
-    total = 1
-    for _, combos in lattice.per_token_ambiguity:
-        total *= combos
-    return total * 4 ** lattice.boundary_slots
+    total = math.prod(combos for _, combos in lattice.per_token_ambiguity)
+    return total * 4 ** (len(lattice.cohorts) - 1)

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import os
+import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fslat
 from fslat import data
 from fslat.cli import (
     EXIT_EMPTY,
@@ -326,6 +328,81 @@ class TestExitCodes:
         assert main([]) == EXIT_USAGE
 
 
+def _cannot_read(name):
+    path = "{tmp}/" + name
+    return f"fslat: cannot read {path}: [Errno 2] No such file or directory: '{path}'\n"
+
+
+#: fault -> (flags replaced, exit code, stderr); `None` drops a flag
+LOADER_FAULTS = {
+    "missing-flags": (
+        {"lexicon": None, "grammar": None},
+        EXIT_USAGE,
+        "fslat {command}: missing required {required}\n",
+    ),
+    "unreadable": ({"lexicon": "{tmp}/absent.lex"}, EXIT_USAGE, _cannot_read("absent.lex")),
+    "two-unreadable": (
+        {"lexicon": "{tmp}/absent.lex", "grammar": "{tmp}/absent.fsg"},
+        EXIT_USAGE,
+        _cannot_read("absent.lex") + _cannot_read("absent.fsg"),
+    ),
+    "empty-path": (
+        {"lexicon": ""},
+        EXIT_USAGE,
+        "fslat: cannot read : [Errno 2] No such file or directory: ''\n",
+    ),
+    "bad-lexicon": (
+        {"lexicon": "{tmp}/bad.lex"},
+        EXIT_USAGE,
+        "fslat: lexicon error: expected ')', found '' (line 3)\n",
+    ),
+    "bad-map": (
+        {"map": "{tmp}/bad.map"},
+        EXIT_USAGE,
+        "fslat: map error: expected 'PATTERN -> TAGS' (line 1)\n",
+    ),
+    "bad-grammar": (
+        {"grammar": "{tmp}/bad.fsg"},
+        EXIT_GRAMMAR,
+        "fslat: grammar error: expected RPAR, found '' (line 2, column 1)\n",
+    ),
+}
+
+
+class TestLoaderFaults:
+    """All four commands load through one loader, so a fault in their flags
+    or files gives one exit code and one stderr, pinned whole."""
+
+    FILES = {
+        "bad.lex": '("<bird>"\n  ("bird" N)\n',
+        "bad.map": "FULLSTOP @PUNCT\n",
+        "bad.fsg": "oops (\n",
+    }
+    CASES = [
+        (command, fault)
+        for command in ("parse", "count", "trace", "check-grammar")
+        for fault in sorted(LOADER_FAULTS)
+        if (command, fault) != ("check-grammar", "bad-map")  # it takes no --map
+    ]
+
+    @pytest.mark.parametrize("command, fault", CASES)
+    def test_fault_is_pinned(self, resources, tmp_path, capsys, command, fault):
+        changes, code, stderr = LOADER_FAULTS[fault]
+        checks_grammar = command == "check-grammar"
+        for name, text in self.FILES.items():
+            (tmp_path / name).write_text(text)
+        flags = dict(resources, **changes)
+        argv = [command]
+        for flag, value in flags.items():
+            if value is not None and not (checks_grammar and flag == "map"):
+                argv += [f"--{flag}", value.format(tmp=tmp_path)]
+        if not checks_grammar:
+            argv.append(write_input(tmp_path, "I see a bird.\n"))
+        required = "--grammar" if checks_grammar else "--lexicon, --grammar"
+        expected = stderr.format(tmp=tmp_path, command=command, required=required)
+        assert (main(argv), *capsys.readouterr()) == (code, "", expected)
+
+
 class TestArgs:
     def test_defaults(self):
         config = parse_args(["parse", "--lexicon", "a", "--map", "b", "--grammar", "c"])
@@ -491,6 +568,40 @@ class TestStreaming:
         assert out.flushed[-1] == out.getvalue()
         tables = [written.split("\n").count("\t\t\t\t@@") for written in out.flushed]
         assert tables == [1, 2, 3]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_first_sentence_flushed_before_next_line_is_read(self, resources, monkeypatch, jobs):
+        out = FlushRecorder()
+        flushes_before_read = []
+
+        def stdin():
+            for line in ("I see a bird.\n", "What are you talking about?\n"):
+                flushes_before_read.append(len(out.flushed))
+                yield line
+
+        monkeypatch.setattr(sys, "stdin", stdin())
+        config = parse_config(resources, [], jobs=jobs)
+        assert run_parse(config, out=out, err=io.StringIO()) == EXIT_OK
+        assert flushes_before_read == [0, 1]
+
+    def test_closed_stdout_is_exit_one_without_traceback(self, resources):
+        argv = [sys.executable, "-m", "fslat.cli", "parse"]
+        for flag in ("lexicon", "map", "grammar"):
+            argv += [f"--{flag}", resources[flag]]
+        src = str(Path(fslat.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.Popen(
+            argv, env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+        )
+        proc.stdin.write(b"I see a bird.\n")
+        proc.stdin.flush()
+        assert proc.stdout.readline() == b"\t\t\t\t@@\n"
+        proc.stdout.close()  # the reader goes, as `| head -1` does
+        proc.stdin.write(b"What are you talking about?\n")
+        proc.stdin.close()
+        assert proc.wait(timeout=120) == EXIT_USAGE
+        assert proc.stderr.read() == b""
+        proc.stderr.close()
 
 
 class TestCountSingleToken:
