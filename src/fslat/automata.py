@@ -639,9 +639,11 @@ class Chain:
     InfiniteLanguageError if the walk meets a cycle.
 
     The walk (`_register_product`) steps each unary run of the chain, a
-    row of one-edge, one-symbol, non-final classes, in a loop and opens a
-    stack frame only where the chain branches, so a step's cost follows
-    the branching pairs more than the symbols.
+    row of one-edge, non-final classes, in a loop, whatever the size of
+    their labels, for as long as the rule sends every live symbol of a
+    label to one state.  It opens a stack frame only where the chain
+    branches or the rule splits a label, so a step's cost follows the
+    branching pairs more than the symbols.
     """
 
     __slots__ = ("alphabet", "transitions", "finals", "start", "count")
@@ -681,14 +683,17 @@ class Chain:
 def _contained(chain, b):
     """True if `b` accepts every string of the trim `chain`: a depth-first
     walk over product pairs that stops at the first symbol `b` cannot step
-    or the first accepting class whose pair `b` does not accept."""
+    or the first accepting class whose pair `b` does not accept.  Each
+    symbol of a label is stepped on its own, since `b` may send a label's
+    symbols to different states.  A pair `(sa, sb)` is keyed as the int
+    `sa * nb + sb`, `nb` the number of `b`'s states."""
     b_index = b._symbol_index()
     b_finals = b.finals
+    nb = len(b_index)
     transitions = chain.transitions
     finals = chain.finals
-    start = (chain.start, 0)
-    seen = {start}
-    stack = [start]
+    seen = {chain.start * nb}
+    stack = [(chain.start, 0)]
     while stack:
         sa, sb = stack.pop()
         if sa in finals and sb not in b_finals:
@@ -699,10 +704,10 @@ def _contained(chain, b):
                 db = b_table.get(sym)
                 if db is None:
                     return False
-                pair = (da, db)
-                if pair not in seen:
-                    seen.add(pair)
-                    stack.append(pair)
+                key = da * nb + db
+                if key not in seen:
+                    seen.add(key)
+                    stack.append((da, db))
     return True
 
 
@@ -721,15 +726,21 @@ def _register_product(a, start, b):
     survives.
 
     Most pairs of a lattice-shaped `a` sit on unary runs, where `a`'s state
-    is not final and has one edge, labelled with one symbol.  A run is
-    stepped in a loop, one lookup in `b` per symbol, up to the first pair
-    that branches, is already settled or cannot step; only a branching
-    pair gets a stack frame, which carries the run, and the run's pairs
-    are settled after it, last first.  So a step's cost follows the
-    branching pairs, plus one lookup per symbol on the runs.  Wherever it
-    is settled, a non-final class with one merged edge is registered under
-    `(successor class, label)`, so equal right languages share one class
-    either way.
+    is not final and has one edge.  A run is stepped in a loop, one lookup
+    in `b` per label symbol.  It goes on while the symbols `b` can step
+    all reach one state of `b`; when some symbols die, the pair's label is
+    narrowed to the rest.  The run stops at the first pair whose `a`-state
+    branches or is final, whose label `b` splits over two or more states,
+    or that is already settled, and it dies where `b` can step none of a
+    label's symbols.  Only a pair that branches or splits gets a stack
+    frame, which carries the run, and the run's pairs are settled after
+    it, last first.  So a step's cost follows the branching pairs, plus
+    one lookup per symbol on the runs.  Wherever it is settled, a
+    non-final class with one merged edge is registered under `(successor
+    class, label)`, so equal right languages share one class either way.
+
+    A pair `(sa, sb)` is keyed as the int `sa * nb + sb`, `nb` the number
+    of `b`'s states, so no pair's key is a tuple to build and hash.
 
     Raises InfiniteLanguageError if the walk meets a cycle, which the
     product of an acyclic `a` has none of.
@@ -739,67 +750,78 @@ def _register_product(a, start, b):
     a_finals = a.finals
     b_index = b._symbol_index()
     b_finals = b.finals
+    nb = len(b_index)
     on_stack = -2  # class of a pair whose successors are still being walked
-    root = (start, 0)
-    cls = {root: on_stack}  # pair -> class id, or -1 once known dead
+    root = start * nb
+    cls = {root: on_stack}  # pair key -> class id, or -1 once known dead
     unary = {}  # (successor class, label) -> id of a non-final one-edge class
     register = {}  # (final, frozenset of (class, label)) -> id of other classes
     transitions = []  # merged edges of each class, by class id
     finals = set()
     counts = []  # accepted strings from each class, by class id
-    stack = []  # frames (pair, product edges, their iterator, run into pair)
-    pair = root  # a newly reached pair, marked on_stack, still to be entered
+    stack = []  # frames (pair key, sa, sb, product edges, their iterator, run into pair)
+    key, sa, sb = root, start, 0  # a newly reached pair, marked on_stack, to be entered
     while True:
-        if pair is not None:  # step the unary run from `pair`
-            run = []  # (pair, label) of each pair stepped, in walk order
+        if key is not None:  # step the unary run from the pair
+            run = []  # (pair key, label) of each pair stepped, in walk order
             c = None
             while True:
-                sa, sb = pair
                 a_edges = a_transitions[sa]
                 if len(a_edges) != 1 or sa in a_finals:
                     break
                 label, da = a_edges[0]
-                if len(label) != 1:
-                    break
-                run.append((pair, label))
-                (sym,) = label
-                db = b_index[sb].get(sym)
-                if db is None:  # `b` cannot step the symbol: the run is dead
+                b_table = b_index[sb]
+                if len(label) == 1:
+                    (sym,) = label
+                    db = b_table.get(sym)
+                else:
+                    dbs = set(map(b_table.get, label))
+                    if None in dbs:  # some symbols die: narrow to the rest
+                        dbs.discard(None)
+                        if len(dbs) == 1:
+                            label = frozenset([sym for sym in label if sym in b_table])
+                    if len(dbs) > 1:  # the label splits: the pair branches
+                        break
+                    db = dbs.pop() if dbs else None
+                run.append((key, label))
+                if db is None:  # `b` cannot step the label: the run is dead
                     c = -1
                     break
-                pair = (da, db)
-                c = cls.get(pair)
+                sa, sb = da, db
+                key = da * nb + db
+                c = cls.get(key)
                 if c is not None:
                     if c == on_stack:
                         raise InfiniteLanguageError("the product walk met a cycle")
                     break
-                cls[pair] = on_stack
-            if c is None:  # the run ends at a pair that branches
+                cls[key] = on_stack
+            if c is None:  # the run ends at a pair that branches or splits its label
                 edges = product(sa, sb)
-                stack.append((pair, edges, iter(edges), run))
-                pair = None
+                stack.append((key, sa, sb, edges, iter(edges), run))
+                key = None
                 continue
-            pair = None
+            key = None
         elif stack:
-            top, edges, targets, run = stack[-1]
-            for target in targets:
-                c = cls.get(target)
+            top, ta, tb, edges, targets, run = stack[-1]
+            for sa, sb in targets:  # enter the first successor not yet reached
+                t = sa * nb + sb
+                c = cls.get(t)
                 if c is None:
-                    cls[target] = on_stack
-                    pair = target
+                    cls[t] = on_stack
+                    key = t
                     break
                 if c == on_stack:
                     raise InfiniteLanguageError("the product walk met a cycle")
-            if pair is not None:
+            if key is not None:
                 continue
             stack.pop()  # every successor is settled: settle `top`
             merged = {}
-            for target, label in edges.items():
-                c = cls[target]
+            for (da, db), label in edges.items():
+                c = cls[da * nb + db]
                 if c >= 0:
                     got = merged.get(c)
                     merged[c] = label if got is None else got | label
-            final = top[0] in a_finals and top[1] in b_finals
+            final = ta in a_finals and tb in b_finals
             if not final and len(merged) == 1:  # keyed as a run's pair, with the run
                 ((c, label),) = merged.items()
                 run.append((top, label))
@@ -822,10 +844,10 @@ def _register_product(a, start, b):
             break
         for p, label in reversed(run):  # settle the run into class `c`
             if c >= 0:
-                key = (c, label)
-                got = unary.get(key)
+                u = (c, label)
+                got = unary.get(u)
                 if got is None:
-                    got = unary[key] = len(transitions)
+                    got = unary[u] = len(transitions)
                     counts.append(len(label) * counts[c])
                     transitions.append([(label, c)])
                 c = got

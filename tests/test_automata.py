@@ -30,6 +30,7 @@ from fslat.automata import (
     reduce_acyclic,
     trim,
 )
+from fslat.automata import _register_product
 from .util import (
     exhaustive_strings,
     hand_matcher,
@@ -308,6 +309,83 @@ class TestIntersectMinimal:
             Chain(dfa)
 
 
+class TestRunLabels:
+    """A run steps through a one-edge class whose label holds several
+    symbols: on when they all reach one rule state, narrowed to the live
+    ones when some die, dead when all die, and a branch when they reach
+    two states."""
+
+    @pytest.fixture
+    def alph(self):
+        return Alphabet(["A", "B", "C", "W", "X", "Y", "Z"])
+
+    def _rule(self, alph, *strings):
+        """The DFA of the strings, each a space-separated list of symbol
+        sets such as `A WX B`."""
+        pats = tuple(
+            Seq(tuple(Syms(frozenset(ids(alph, *part))) for part in string.split()))
+            for string in strings
+        )
+        return determinize(from_pattern(Alt(pats), alph))
+
+    def _chain(self, alph):
+        """`A {W,X,Y,Z} B | B`: class after `A` has one edge with a
+        four-symbol label, so a step that keeps `A ? B` runs through it."""
+        wxyz = frozenset(ids(alph, "W", "X", "Y", "Z"))
+        a, b = (frozenset(ids(alph, t)) for t in ("A", "B"))
+        chain = Chain(Dfa(alph, [((a, 1), (b, 3)), ((wxyz, 2),), ((b, 3),), ()], (3,)))
+        assert chain.count == 5
+        return chain
+
+    @pytest.mark.parametrize(
+        "strings, count",
+        [
+            (("A WXYZ B",), 4),  # (a) all four symbols reach one state
+            (("A WX B",), 2),  # (b) Y and Z die: the label is narrowed
+            (("A C B", "B"), 1),  # (c) all four die: the run is dead
+            (("A C B",), 0),  # (c) and nothing survives
+            (("A WX B", "A YZ B B"), 2),  # (d) split over two states, one rejects later
+            (("A WX B", "A YZ B", "A YZ B B"), 4),  # (d) split, both accept
+        ],
+        ids=["one-state", "some-die", "all-die", "all-die-empty", "split-rejects", "split"],
+    )
+    def test_step_matches_reduced_product(self, alph, strings, count):
+        chain = self._chain(alph)
+        rule = self._rule(alph, *strings)
+        got, got_count = chain.intersect(rule)
+        want = reduce_acyclic(intersect(chain.dfa(), rule))
+        assert got_count == count == count_paths(want)
+        assert (got.dfa().transitions, got.dfa().finals) == (want.transitions, want.finals)
+
+    @pytest.mark.parametrize(
+        "strings, contained, count",
+        [
+            (("A WX B", "A YZ B", "B"), True, 5),  # two states, both accept
+            (("A WX B", "A YZ B B", "B"), False, 3),  # two states, one rejects after B
+            (("A WXY B", "B"), False, 4),  # Z cannot step
+        ],
+        ids=["split", "split-rejects", "one-dies"],
+    )
+    def test_contained_steps_every_label_symbol(self, alph, strings, contained, count):
+        chain = self._chain(alph)
+        got, got_count = chain.intersect(self._rule(alph, *strings))
+        assert (got is chain) == contained
+        assert got_count == count
+
+    def test_long_run_of_two_symbol_labels_does_not_recurse(self, alph):
+        # 100,000 one-edge classes labelled {A, B}, stepped as one run
+        a, b = (frozenset(ids(alph, t)) for t in ("A", "B"))
+        n = 100_000
+        run = Dfa(alph, [((a | b, i + 1),) for i in range(n)] + [()], (n,))
+        a_star = Dfa(alph, [((a, 0),)], (0,))
+        transitions, finals, start, count = _register_product(run, 0, a_star)
+        assert count == 1  # every label narrowed to {A}
+        assert len(transitions) == n + 1
+        assert transitions[start] == [(a, start - 1)]
+        dead_end = Chain(Dfa(alph, [((a | b, i + 1),) for i in range(n)] + [()], ()))
+        assert dead_end.count == 0  # every symbol steps Sigma*, and the end is not final
+
+
 class TestChain:
     def _dfa(self, alph, pat):
         return determinize(from_pattern(pat, alph))
@@ -490,22 +568,21 @@ _PROP_SYMS = tuple(_PROP_ALPHABET.id_of(f"S{i}") for i in range(3))
 
 
 @st.composite
-def dfas(draw, max_states=8):
-    """Random DFAs over three symbols (the reserved boundary symbols stay
-    edge-free, so exhaustive checks only need the three)."""
+def dfas(draw, max_states=8, alphabet=_PROP_ALPHABET, syms=_PROP_SYMS):
+    """Random DFAs over three symbols, or over `syms` of `alphabet` (the
+    reserved boundary symbols stay edge-free, so exhaustive checks only
+    need the three)."""
     n = draw(st.integers(1, max_states))
     transitions = []
     for _ in range(n):
         edges = []
-        for sym in _PROP_SYMS:
+        for sym in syms:
             dst = draw(st.integers(-1, n - 1))
             if dst >= 0:
                 edges.append((frozenset((sym,)), dst))
         transitions.append(tuple(edges))
     finals = frozenset(s for s in range(n) if draw(st.booleans()))
-    from fslat.automata import Dfa
-
-    return Dfa(_PROP_ALPHABET, transitions, finals)
+    return Dfa(alphabet, transitions, finals)
 
 
 @settings(max_examples=500, deadline=None)
@@ -684,17 +761,16 @@ def dags(draw, max_states=8):
     return Dfa(_PROP_ALPHABET, transitions, finals)
 
 
-_LATTICE_LABELS = tuple(frozenset((sym,)) for sym in _PROP_SYMS) * 4 + tuple(
-    frozenset(_PROP_SYMS) - {sym} for sym in _PROP_SYMS
-)
+#: The symbols of `lattices()` and of the rules stepped over them.
+_RUN_SYMS = _WIDE_SYMS[:4]
 
 
 @st.composite
 def lattices(draw):
-    """Random lattice-shaped acyclic DFAs over the three symbols: branch
-    states joined by one to three runs of one-edge states.  Most run labels
-    hold one symbol and some hold two, and some run states are final.  A
-    run ends at the next branch state, which every run after the first
+    """Random lattice-shaped acyclic DFAs over four symbols: branch states
+    joined by one to three runs of one-edge states.  Most run labels hold
+    one symbol and some hold two to four, and some run states are final.
+    A run ends at the next branch state, which every run after the first
     rejoins, or now and then in a dead state."""
     transitions = [[]]
     finals = set()
@@ -702,7 +778,7 @@ def lattices(draw):
     for _ in range(draw(st.integers(1, 4))):
         join = len(transitions)
         transitions.append([])
-        firsts = draw(st.permutations(_PROP_SYMS))[: draw(st.integers(1, 3))]
+        firsts = draw(st.permutations(_RUN_SYMS))[: draw(st.integers(1, 3))]
         for first in firsts:
             src, label = branch, frozenset((first,))
             for _ in range(draw(st.integers(0, 12))):
@@ -711,7 +787,8 @@ def lattices(draw):
                 src = len(transitions) - 1
                 if draw(st.integers(0, 9)) == 0:
                     finals.add(src)
-                label = draw(st.sampled_from(_LATTICE_LABELS))
+                size = 1 if draw(st.integers(0, 4)) else draw(st.integers(2, 4))
+                label = frozenset(draw(st.permutations(_RUN_SYMS))[:size])
             dst = join
             if draw(st.integers(0, 5)) == 0:
                 dst = len(transitions)
@@ -719,7 +796,7 @@ def lattices(draw):
             transitions[src].append((label, dst))
         branch = join
     finals.add(branch)
-    return Dfa(_PROP_ALPHABET, transitions, finals)
+    return Dfa(_WIDE_ALPHABET, transitions, finals)
 
 
 @settings(max_examples=500, deadline=None)
@@ -785,6 +862,9 @@ def test_property_chain_fold_is_reduced_product_fold(a, rules):
 
 
 @settings(max_examples=500, deadline=None)
-@given(lattices(), st.lists(dfas(), min_size=1, max_size=5))
+@given(
+    lattices(),
+    st.lists(dfas(alphabet=_WIDE_ALPHABET, syms=_RUN_SYMS), min_size=1, max_size=5),
+)
 def test_property_chain_runs_fold_is_reduced_product_fold(a, rules):
     _assert_chain_fold_is_reduced_product_fold(a, rules)
