@@ -2,8 +2,9 @@
 
 Transitions carry symbol *sets*, not single symbols, so that transitions
 labelled with a large symbol class stay compact even when the alphabet has
-hundreds of symbols.  All automata are immutable once built and safe to
-share between threads; every constructor function returns a fresh object.
+hundreds of symbols.  Automata are immutable once built (a `Dfa` only
+fills in its symbol index on first use); every constructor function
+returns a fresh object.
 
 A DFA's start state is always state 0 and its states are numbered in
 breadth-first discovery order with per-state edges sorted by smallest
@@ -203,6 +204,7 @@ class Nfa:
         return bool(current & self.finals)
 
 
+# Kept apart from `_search`: `Nfa.accepts` is the oracle for `determinize`.
 def _eps_closure(transitions, states):
     seen = set(states)
     stack = list(states)
@@ -278,8 +280,7 @@ class Dfa:
 
     Immutable once built, except for the per-symbol index behind `accepts`
     and the product kernels, which is built on first use since most
-    automata are never stepped.  Threads racing to build it store equal
-    tables, so a Dfa is safe to share."""
+    automata are never stepped."""
 
     __slots__ = ("alphabet", "transitions", "finals", "_index")
 
@@ -389,15 +390,7 @@ def determinize(nfa):
     def closure(states):
         got = closures.get(states)
         if got is None:
-            seen = set(states)
-            stack = list(states)
-            while stack:
-                state = stack.pop()
-                for dst in eps[state]:
-                    if dst not in seen:
-                        seen.add(dst)
-                        stack.append(dst)
-            got = closures[states] = frozenset(seen)
+            got = closures[states] = frozenset(_search(states, eps))
         return got
 
     def expand(subset):
@@ -415,7 +408,25 @@ def determinize(nfa):
     return _canonical(nfa.alphabet, closure(frozenset((nfa.start,))), expand)
 
 
+def _search(starts, successors):
+    """The set of states reached from `starts` along `successors`, which
+    lists each state's next states, depth-first with an explicit stack.
+    The one graph search: `_useful` runs it over `_predecessors`, and
+    `determinize` over epsilon edges for its memoized closures."""
+    seen = set(starts)
+    stack = list(seen)
+    while stack:
+        for nxt in successors[stack.pop()]:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen
+
+
 def _reachable(dfa):
+    """The states reachable from the start.  Walks `dfa.transitions` in
+    place, not through `_search`: the table of bare targets that `_search`
+    needs made decoding, which trims every sentence, about 10% slower."""
     seen = {0}
     stack = [0]
     while stack:
@@ -427,27 +438,52 @@ def _reachable(dfa):
     return seen
 
 
-def _coreachable(dfa):
-    rev = [[] for _ in range(dfa.n_states)]
-    for src in range(dfa.n_states):
-        for _, dst in dfa.transitions[src]:
-            rev[dst].append(src)
-    seen = set(dfa.finals)
-    stack = list(dfa.finals)
+def _predecessors(dfa):
+    """Per state, the states with an edge into it (an edge with an empty
+    label steps no symbol and is left out).  The one predecessor table:
+    `_useful` and `enumerate_strings` read it."""
+    preds = [[] for _ in range(dfa.n_states)]
+    for src, edges in enumerate(dfa.transitions):
+        for label, dst in edges:
+            if label:
+                preds[dst].append(src)
+    return preds
+
+
+def _useful(dfa):
+    """The states on some path from the start to a final state."""
+    return _reachable(dfa) & _search(dfa.finals, _predecessors(dfa))
+
+
+def _topological(dfa, states):
+    """A topological order of the subgraph of `dfa` on `states`, by Kahn's
+    algorithm, or None if that subgraph has a cycle.  The one topological
+    sort: `count_paths` runs it over the useful states and `reduce_acyclic`
+    over the whole trimmed DFA."""
+    transitions = dfa.transitions
+    indeg = dict.fromkeys(states, 0)
+    for src in indeg:
+        for _, dst in transitions[src]:
+            if dst in indeg:
+                indeg[dst] += 1
+    stack = [s for s, d in indeg.items() if d == 0]
+    order = []
     while stack:
         state = stack.pop()
-        for src in rev[state]:
-            if src not in seen:
-                seen.add(src)
-                stack.append(src)
-    return seen
+        order.append(state)
+        for _, dst in transitions[state]:
+            if dst in indeg:
+                indeg[dst] -= 1
+                if indeg[dst] == 0:
+                    stack.append(dst)
+    return order if len(order) == len(indeg) else None
 
 
 def trim(dfa):
     """Drop states that are unreachable or cannot reach a final state, and
     renumber the rest in BFS order.  The empty language canonicalizes to a
     single non-accepting start state."""
-    useful = _reachable(dfa) & _coreachable(dfa)
+    useful = _useful(dfa)
     if 0 not in useful:
         return empty_dfa(dfa.alphabet)
     transitions = dfa.transitions
@@ -511,23 +547,10 @@ def reduce_acyclic(dfa):
     d = trim(dfa)
     if not d.finals:
         return d
-    n = d.n_states
-    indeg = [0] * n
-    for edges in d.transitions:
-        for _, dst in edges:
-            indeg[dst] += 1
-    stack = [s for s in range(n) if indeg[s] == 0]
-    order = []
-    while stack:
-        state = stack.pop()
-        order.append(state)
-        for _, dst in d.transitions[state]:
-            indeg[dst] -= 1
-            if indeg[dst] == 0:
-                stack.append(dst)
-    if len(order) != n:
+    order = _topological(d, range(d.n_states))
+    if order is None:
         return minimize(dfa)
-    cls = [0] * n
+    cls = [0] * d.n_states
     signatures = {}
     classes = []  # (is_final, merged edges) of each class, by class id
     for state in reversed(order):
@@ -569,42 +592,37 @@ def complement(dfa):
 
 def _product_edges(a, b):
     """For the product of `a` and `b`: a function from a pair of states
-    `(sa, sb)` to its edges, a dict from target pair `(da, db)` to label."""
+    `(sa, sb)` to its edges, a dict from target pair `(da, db)` to label.
+
+    A one-symbol label is looked up in `b` and kept as it is; every wider
+    label takes the one bucketing path, one lookup in `b` per symbol with
+    the symbols grouped by the state they reach."""
     if a.alphabet is not b.alphabet:
         raise AlphabetMismatchError("intersect requires a shared alphabet")
     a_transitions = a.transitions
-    b_transitions = b.transitions
     b_index = b._symbol_index()
 
     def edges(sa, sb):
         by_target = {}
         b_table = b_index[sb]
         for label, da in a_transitions[sa]:
-            size = len(label)
-            if size == 1:  # most lattice labels: keep their frozenset
+            if len(label) == 1:  # most lattice labels: keep their frozenset
                 (sym,) = label
                 db = b_table.get(sym)
                 if db is not None:
                     key = (da, db)
                     got = by_target.get(key)
                     by_target[key] = label if got is None else got | label
-            elif size <= 8:
-                buckets = {}
-                for sym in label:
-                    db = b_table.get(sym)
-                    if db is not None:
-                        buckets.setdefault(db, []).append(sym)
-                for db, syms in buckets.items():
-                    key = (da, db)
-                    got = by_target.get(key)
-                    by_target[key] = frozenset(syms) if got is None else got | frozenset(syms)
-            else:
-                for blabel, db in b_transitions[sb]:
-                    inter = label & blabel
-                    if inter:
-                        key = (da, db)
-                        got = by_target.get(key)
-                        by_target[key] = inter if got is None else got | inter
+                continue
+            buckets = {}
+            for sym in label:
+                db = b_table.get(sym)
+                if db is not None:
+                    buckets.setdefault(db, []).append(sym)
+            for db, syms in buckets.items():
+                key = (da, db)
+                got = by_target.get(key)
+                by_target[key] = frozenset(syms) if got is None else got | frozenset(syms)
         return by_target
 
     return edges
@@ -860,19 +878,7 @@ def _register_product(a, start, b):
 
 def is_empty(dfa):
     """True iff no accepting path exists."""
-    if not dfa.finals:
-        return True
-    seen = {0}
-    stack = [0]
-    while stack:
-        state = stack.pop()
-        if state in dfa.finals:
-            return False
-        for _, dst in dfa.transitions[state]:
-            if dst not in seen:
-                seen.add(dst)
-                stack.append(dst)
-    return True
+    return dfa.finals.isdisjoint(_reachable(dfa))
 
 
 def count_paths(dfa):
@@ -881,25 +887,11 @@ def count_paths(dfa):
 
     Raises InfiniteLanguageError if a cycle survives among useful states.
     """
-    useful = _reachable(dfa) & _coreachable(dfa)
+    useful = _useful(dfa)
     if 0 not in useful:
         return 0
-    indeg = {s: 0 for s in useful}
-    for src in useful:
-        for _, dst in dfa.transitions[src]:
-            if dst in useful:
-                indeg[dst] += 1
-    stack = [s for s in useful if indeg[s] == 0]
-    order = []
-    while stack:
-        state = stack.pop()
-        order.append(state)
-        for _, dst in dfa.transitions[state]:
-            if dst in useful:
-                indeg[dst] -= 1
-                if indeg[dst] == 0:
-                    stack.append(dst)
-    if len(order) != len(useful):
+    order = _topological(dfa, useful)
+    if order is None:
         raise InfiniteLanguageError("automaton accepts an infinite language")
     ways = {}
     for state in reversed(order):
@@ -921,15 +913,13 @@ def enumerate_strings(dfa, limit):
     if not d.finals:
         return []
     expanded = []
-    preds = [set() for _ in range(d.n_states)]
-    for src, edges in enumerate(d.transitions):
+    for edges in d.transitions:
         pairs = []
         for label, dst in edges:
             pairs.extend((sym, dst) for sym in label)
-            if label:
-                preds[dst].add(src)
         pairs.sort()
         expanded.append(tuple(pairs))
+    preds = _predecessors(d)
 
     # live[n]: the states with an accepted continuation of exactly n symbols
     live = [d.finals]
@@ -940,7 +930,7 @@ def enumerate_strings(dfa, limit):
             out.extend(islice(_strings_of_length(expanded, live, length), limit - len(out)))
         longer = set()
         for dst in live[length]:
-            longer |= preds[dst]
+            longer.update(preds[dst])
         if not longer:
             break
         live.append(longer)

@@ -317,7 +317,7 @@ def run_trace(config, out=None, err=None):
     def step(index, tokens):
         _, trace = apply_grammar(pipeline.lattice_for(tokens), pipeline.rules)
         print(f"# sentence {index}: {' '.join(tokens)}", file=out)
-        for line in trace.lines(header=True):
+        for line in trace.lines():
             print(line, file=out)
         print(f"# final\t{trace.final}", file=out)
         return trace.final != 0

@@ -4,8 +4,8 @@ per-token analyses.
 
 Applying a grammar intersects the lattice language with every rule's
 language; the surviving reading set is therefore independent of
-application order.  Sentences are independent of each other; a Pipeline is
-read-only after build and safe to share.
+application order.  Sentences are independent of each other, and a
+Pipeline is read-only after build, so one Pipeline serves every sentence.
 """
 
 from __future__ import annotations
@@ -55,14 +55,11 @@ class TraceReport:
     steps: tuple
     final: int
 
-    def lines(self, header=False):
-        rows = []
-        if header:
-            rows.append("# rule\tbefore\tafter\tmicros")
-        rows.extend(
+    def lines(self):
+        """The `# rule` header row, then one tab-separated row per step."""
+        return ["# rule\tbefore\tafter\tmicros"] + [
             f"{s.rule}\t{s.before}\t{s.after}\t{s.micros}" for s in self.steps
-        )
-        return rows
+        ]
 
 
 @dataclass(frozen=True)

@@ -868,3 +868,57 @@ def test_property_chain_fold_is_reduced_product_fold(a, rules):
 )
 def test_property_chain_runs_fold_is_reduced_product_fold(a, rules):
     _assert_chain_fold_is_reduced_product_fold(a, rules)
+
+
+_WIDER_ALPHABET = Alphabet([f"V{i}" for i in range(32)])
+_WIDER_SYMS = tuple(_WIDER_ALPHABET.id_of(f"V{i}") for i in range(32))
+
+
+@st.composite
+def wide_label_dags(draw):
+    """Random acyclic DFAs over 32 symbols whose every edge is labelled
+    with 9 to 16 of them.  Each state but the last has one or two edges to
+    later states, so wide labels sit at states that branch and on runs."""
+    n = draw(st.integers(2, 4))
+    transitions = []
+    for src in range(n - 1):
+        syms = draw(st.permutations(_WIDER_SYMS))
+        edges = []
+        for k in range(draw(st.integers(1, 2))):
+            label = frozenset(syms[16 * k : 16 * k + draw(st.integers(9, 16))])
+            edges.append((label, draw(st.integers(src + 1, n - 1))))
+        transitions.append(tuple(edges))
+    transitions.append(())
+    finals = {n - 1} | {s for s in range(n - 1) if draw(st.booleans())}
+    return Dfa(_WIDER_ALPHABET, transitions, finals)
+
+
+@st.composite
+def splitting_rules(draw):
+    """Random DFAs over the same 32 symbols with two or three states, each
+    sending every symbol to a state of its own drawing or nowhere, so a
+    wide label's symbols are split over several states."""
+    n = draw(st.integers(2, 3))
+    transitions = []
+    for _ in range(n):
+        targets = draw(st.lists(st.integers(-1, n - 1), min_size=32, max_size=32))
+        labels = {}
+        for sym, dst in zip(_WIDER_SYMS, targets):
+            if dst >= 0:
+                labels.setdefault(dst, set()).add(sym)
+        transitions.append(tuple((frozenset(syms), dst) for dst, syms in labels.items()))
+    finals = draw(st.sets(st.integers(0, n - 1), min_size=1))
+    return Dfa(_WIDER_ALPHABET, transitions, finals)
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_label_dags(), splitting_rules())
+def test_property_products_split_wide_labels(a, rule):
+    # the oracle steps the rule one string at a time, so it shares no code
+    # with the product kernels under test
+    want = [s for s in enumerate_strings(a, count_paths(a) + 1) if rule.accepts(s)]
+    product = intersect(a, rule)
+    chain, count = Chain(a).intersect(rule)
+    assert count == count_paths(product) == len(want)
+    for got in (product, chain.dfa()):
+        assert enumerate_strings(got, len(want) + 1) == want
