@@ -426,7 +426,7 @@ def _search(starts, successors):
 def _reachable(dfa):
     """The states reachable from the start.  Walks `dfa.transitions` in
     place, not through `_search`: the table of bare targets that `_search`
-    needs made decoding, which trims every sentence, about 10% slower."""
+    needs made decoding, which walks every survivor, about 10% slower."""
     seen = {0}
     stack = [0]
     while stack:
@@ -906,23 +906,27 @@ def count_paths(dfa):
 def enumerate_strings(dfa, limit):
     """Up to `limit` accepted strings (tuples of symbol ids) in shortlex
     order over symbol ids.  Works for finite and infinite languages; only
-    productive prefixes are visited."""
+    productive prefixes are visited.  The input need not be trim; the live
+    sets are kept to reachable states, so a cycle off the reachable part
+    cannot keep the search going."""
     if limit <= 0:
         return []
-    d = trim(dfa)
-    if not d.finals:
+    reachable = _reachable(dfa)
+    finals = dfa.finals & reachable
+    if not finals:
         return []
     expanded = []
-    for edges in d.transitions:
+    for edges in dfa.transitions:
         pairs = []
         for label, dst in edges:
             pairs.extend((sym, dst) for sym in label)
         pairs.sort()
         expanded.append(tuple(pairs))
-    preds = _predecessors(d)
+    preds = _predecessors(dfa)
 
-    # live[n]: the states with an accepted continuation of exactly n symbols
-    live = [d.finals]
+    # live[n]: the reachable states with an accepted continuation of
+    # exactly n symbols
+    live = [finals]
     out = []
     while len(out) < limit:
         length = len(live) - 1
@@ -931,6 +935,7 @@ def enumerate_strings(dfa, limit):
         longer = set()
         for dst in live[length]:
             longer.update(preds[dst])
+        longer &= reachable
         if not longer:
             break
         live.append(longer)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .automata import BOUNDARY_TEXTS, Dfa, Nfa, count_paths, determinize
+from .automata import BOUNDARY_TEXTS, Dfa, _canonical, count_paths
 
 
 class TagError(Exception):
@@ -251,13 +251,18 @@ def build_lattice(cohorts, registry, alphabet):
     cohorts: @@ at both ends, all four boundary symbols between adjacent
     tokens, one path per reading x candidate-tag combination per token.
 
-    The result is determinized, and trim as long as every cohort has a
-    reading, as every `lookup` cohort does.  Construction is deterministic,
-    so identical inputs yield identical automata.  Readings whose printed
-    symbol sequences coincide collapse into a single path.
+    The automaton is deterministic by construction: each cohort is a trie
+    of its readings and candidates, keyed by (state, symbol), whose
+    branches rejoin at the cohort's one exit state, so readings whose
+    printed symbol sequences coincide share one path.  It is canonically
+    numbered, so identical inputs yield identical automata, and trim as
+    long as every cohort has a reading, as every `lookup` cohort does.
 
     `alphabet` is closed: the rules were compiled over it, so a marker or
-    tag it does not hold raises TagError rather than growing it.
+    tag it does not hold raises TagError rather than growing it.  So does
+    a function tag that one candidate at a trie state pairs with a
+    clause-function tag and another does not (`map_syntax` fixes the
+    pairing per tag, so it never makes one).
     """
     if not cohorts:
         raise ValueError("cannot build a lattice for zero cohorts")
@@ -265,24 +270,29 @@ def build_lattice(cohorts, registry, alphabet):
     morph_guard = set(registry.function_tags) | set(registry.clause_tags) | set(
         registry.boundary_tags
     )
+    sentence_mark = alphabet.id_of("@@")
+    boundary_ids = [alphabet.id_of(t) for t in registry.boundary_tags if t != "@@"]
 
-    nfa = Nfa(alphabet)
-    start = nfa.add_state()
-    nfa.start = start
-    sent_open = nfa.add_state()
-    nfa.add_edge(start, frozenset((alphabet.id_of("@@"),)), sent_open)
-    boundary_label = frozenset(
-        alphabet.id_of(t) for t in registry.boundary_tags if t != "@@"
-    )
+    rows = []  # per state, a dict from symbol id to target state
 
-    entry = sent_open
+    def new_state():
+        rows.append({})
+        return len(rows) - 1
+
+    def child(state, sym):
+        """The trie state after `sym` from `state`, made on first use."""
+        target = rows[state].get(sym)
+        if target is None:
+            target = rows[state][sym] = new_state()
+        return target
+
+    entry = child(new_state(), sentence_mark)
     for index, cohort in enumerate(cohorts):
-        exit_state = nfa.add_state()
-        word_state = nfa.add_state()
         word_text = word_symbol(cohort.surface)
         if word_text not in alphabet:
             word_text = UNKNOWN_WORD_SYMBOL
-        nfa.add_edge(entry, frozenset((alphabet.id_of(word_text),)), word_state)
+        word_state = child(entry, alphabet.id_of(word_text))
+        exit_state = new_state()
         for mapped in cohort.readings:
             reading = mapped.reading
             state = word_state
@@ -295,29 +305,39 @@ def build_lattice(cohorts, registry, alphabet):
                     raise TagError(
                         f"morphological symbol {text!r} is not in the closed alphabet"
                     )
-                nxt = nfa.add_state()
-                nfa.add_edge(state, frozenset((alphabet.id_of(text),)), nxt)
-                state = nxt
+                state = child(state, alphabet.id_of(text))
             for ftag, ctag in mapped.candidates:
                 fid = alphabet.id_of(ftag)
                 if fid not in ftag_ids:
                     raise TagError(f"function tag {ftag!r} is not registered")
                 if ctag is None:
-                    nfa.add_edge(state, frozenset((fid,)), exit_state)
+                    target = rows[state].setdefault(fid, exit_state)
                 else:
-                    mid = nfa.add_state()
-                    nfa.add_edge(state, frozenset((fid,)), mid)
-                    nfa.add_edge(mid, frozenset((alphabet.id_of(ctag),)), exit_state)
+                    target = child(state, fid)
+                # a clause-function tag follows `fid` iff it leads to a state of its own
+                if (target == exit_state) != (ctag is None):
+                    raise TagError(
+                        f"function tag {ftag!r} of {cohort.surface!r} comes both"
+                        " with and without a clause-function tag"
+                    )
+                if ctag is not None:
+                    rows[target][alphabet.id_of(ctag)] = exit_state
         if index + 1 < len(cohorts):
-            nxt_entry = nfa.add_state()
-            nfa.add_edge(exit_state, boundary_label, nxt_entry)
-            entry = nxt_entry
+            entry = new_state()
+            for sym in boundary_ids:
+                rows[exit_state][sym] = entry
         else:
-            final = nfa.add_state()
-            nfa.add_edge(exit_state, frozenset((alphabet.id_of("@@"),)), final)
-            nfa.finals = {final}
+            final = new_state()
+            rows[exit_state][sentence_mark] = final
 
-    dfa = determinize(nfa)
+    def expand(state):
+        by_target = {}
+        for sym, target in rows[state].items():
+            by_target.setdefault(target, []).append(sym)
+        edges = [(frozenset(syms), target) for target, syms in by_target.items()]
+        return state == final, edges
+
+    dfa = _canonical(alphabet, 0, expand)
     ambiguity = tuple((len(c.readings), c.combinations) for c in cohorts)
     return SentenceLattice(dfa, tuple(cohorts), registry, ambiguity)
 

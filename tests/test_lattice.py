@@ -3,10 +3,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fslat import data
 from fslat.automata import dump
 from fslat.engine import build_alphabet, decode_readings
 from fslat.lattice import (
     MapError,
+    MappedCohort,
+    MappedReading,
     TagError,
     build_lattice,
     closed_form_count,
@@ -15,12 +18,9 @@ from fslat.lattice import (
     parse_syntactic_map,
     reading_count,
 )
-from fslat.lexicon import Cohort, Lexicon, MorphReading
+from fslat.lexicon import Cohort, Lexicon, MorphReading, tokenize
 
-
-@pytest.fixture(scope="module")
-def registry():
-    return default_registry()
+from .util import nfa_lattice
 
 
 def make_lexicon(*entries):
@@ -215,6 +215,34 @@ class TestBuildLattice:
         with pytest.raises(TagError):
             build_lattice(mapped, registry, alphabet)
 
+    @pytest.mark.parametrize("candidates", [
+        (("@MV", "MAINC@"), ("@MV", None)),
+        (("@MV", None), ("@MV", "MAINC@")),
+    ])
+    def test_function_tag_with_and_without_clause_tag_rejected(
+        self, registry, smap, candidates
+    ):
+        # a trie cannot tell the two apart after @MV; `map_syntax` never
+        # makes this, but `build_lattice` takes hand-built cohorts too
+        vfin = reading("see", (), ("V", "PRES", "VFIN"))
+        lexicon = make_lexicon(("see", [vfin]))
+        alphabet = build_alphabet(lexicon, smap, None, registry)
+        cohort = MappedCohort("see", tuple(
+            MappedReading(vfin, (candidate,)) for candidate in candidates
+        ))
+        with pytest.raises(TagError, match="with and without a clause-function tag"):
+            build_lattice([cohort], registry, alphabet)
+
+    def test_bundled_sentences_match_the_nfa_oracle(self, demo_pipeline):
+        sentences = [tokenize(line) for line in data.read("sample_sentences.txt").splitlines()]
+        stress = tokenize(data.read("stress39.txt"))
+        for tokens in sentences + [stress, stress * 2]:
+            cohorts = demo_pipeline.cohorts_for(tokens)
+            got = demo_pipeline.lattice_for(tokens).automaton
+            want = nfa_lattice(cohorts, demo_pipeline.registry, demo_pipeline.alphabet)
+            assert dump(got) == dump(want), tokens
+            assert (got.transitions, got.finals) == (want.transitions, want.finals)
+
     def test_deterministic_construction(self, registry, smap):
         cohorts = [
             Cohort("the", (reading("the", (), ("DET", "SG")),)),
@@ -261,3 +289,49 @@ def test_property_closed_form_count(data_):
     alphabet = build_alphabet(lexicon, smap, None, registry)
     lattice = build_lattice(mapped, registry, alphabet)
     assert reading_count(lattice) == closed_form_count(lattice)
+
+
+_ORACLE_MAP = (
+    "DET -> @>N\nA ABS -> @SC @OC\nN NOM -> @SUBJ @OBJ @SC\n"
+    "V VFIN -> @MV @AUX\nV INF -> @mv @OBJ\n* -> @ADVL\n"
+)
+
+#: Readings that share prefixes (N NOM ..., V PRES ...), readings with no
+#: morphology at all, and main verbs (VFIN, INF) that pair with several
+#: clause-function tags.
+_ORACLE_SHAPES = (
+    ((), ("N", "NOM", "SG")), ((), ("N", "NOM", "PL")), ((), ("N", "GEN")),
+    ((), ("V", "PRES", "VFIN")), (("<SVO>",), ("V", "PRES", "VFIN")),
+    ((), ("V", "PRES", "-SG3")), (("<SVO>",), ("V", "INF")), ((), ("V", "INF")),
+    ((), ("DET", "SG")), ((), ("A", "ABS")), ((), ()),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_property_lattice_matches_the_nfa_oracle(data_):
+    """`build_lattice` gives the automaton that subset construction gives
+    over one NFA path per reading and candidate, state for state."""
+    registry = default_registry()
+    smap = parse_syntactic_map(_ORACLE_MAP, registry)
+    every_shape = [reading("any", markers, tags) for markers, tags in _ORACLE_SHAPES]
+    # the lexicon holds every symbol, but only the words "w0", "w1"
+    lexicon = make_lexicon(("w0", every_shape), ("w1", every_shape[:2]))
+    alphabet = build_alphabet(lexicon, smap, None, registry)
+    cohorts = []
+    for _ in range(data_.draw(st.integers(1, 4))):
+        surface = data_.draw(st.sampled_from(("w0", "W1", "unknown")))
+        # drawn with repeats: distinct base forms may print identically
+        readings = data_.draw(st.lists(
+            st.builds(
+                lambda base, shape: reading(base, *shape),
+                st.sampled_from(("a", "b")),
+                st.sampled_from(_ORACLE_SHAPES),
+            ),
+            max_size=5,
+        ))
+        cohorts.append(map_syntax(Cohort(surface, tuple(readings)), smap, registry))
+    got = build_lattice(cohorts, registry, alphabet).automaton
+    want = nfa_lattice(cohorts, registry, alphabet)
+    assert dump(got) == dump(want)
+    assert (got.transitions, got.finals) == (want.transitions, want.finals)

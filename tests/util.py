@@ -4,6 +4,7 @@ import itertools
 import random
 
 from fslat.automata import Alphabet, Dfa, Nfa, determinize, trim
+from fslat.lattice import UNKNOWN_WORD_SYMBOL, TagError, word_symbol
 
 
 def exhaustive_strings(symbols, max_len):
@@ -66,3 +67,66 @@ def naive_moore_minimal_states(dfa):
 def hand_matcher(string, *alternatives):
     """Trivially checks membership in a finite list of strings."""
     return tuple(string) in {tuple(a) for a in alternatives}
+
+
+def nfa_lattice(cohorts, registry, alphabet):
+    """The lattice DFA built the general way, as an oracle for
+    `build_lattice`: an NFA with one state per symbol of every reading
+    and candidate, determinized by subset construction."""
+    ftag_ids = frozenset(alphabet.id_of(t) for t in registry.function_tags)
+    morph_guard = set(registry.function_tags) | set(registry.clause_tags) | set(
+        registry.boundary_tags
+    )
+
+    nfa = Nfa(alphabet)
+    start = nfa.add_state()
+    nfa.start = start
+    sent_open = nfa.add_state()
+    nfa.add_edge(start, frozenset((alphabet.id_of("@@"),)), sent_open)
+    boundary_label = frozenset(
+        alphabet.id_of(t) for t in registry.boundary_tags if t != "@@"
+    )
+
+    entry = sent_open
+    for index, cohort in enumerate(cohorts):
+        exit_state = nfa.add_state()
+        word_state = nfa.add_state()
+        word_text = word_symbol(cohort.surface)
+        if word_text not in alphabet:
+            word_text = UNKNOWN_WORD_SYMBOL
+        nfa.add_edge(entry, frozenset((alphabet.id_of(word_text),)), word_state)
+        for mapped in cohort.readings:
+            reading = mapped.reading
+            state = word_state
+            for text in tuple(reading.markers) + tuple(reading.tags):
+                if text in morph_guard:
+                    raise TagError(
+                        f"morphological symbol {text!r} collides with a registered tag"
+                    )
+                if text not in alphabet:
+                    raise TagError(
+                        f"morphological symbol {text!r} is not in the closed alphabet"
+                    )
+                nxt = nfa.add_state()
+                nfa.add_edge(state, frozenset((alphabet.id_of(text),)), nxt)
+                state = nxt
+            for ftag, ctag in mapped.candidates:
+                fid = alphabet.id_of(ftag)
+                if fid not in ftag_ids:
+                    raise TagError(f"function tag {ftag!r} is not registered")
+                if ctag is None:
+                    nfa.add_edge(state, frozenset((fid,)), exit_state)
+                else:
+                    mid = nfa.add_state()
+                    nfa.add_edge(state, frozenset((fid,)), mid)
+                    nfa.add_edge(mid, frozenset((alphabet.id_of(ctag),)), exit_state)
+        if index + 1 < len(cohorts):
+            nxt_entry = nfa.add_state()
+            nfa.add_edge(exit_state, boundary_label, nxt_entry)
+            entry = nxt_entry
+        else:
+            final = nfa.add_state()
+            nfa.add_edge(exit_state, frozenset((alphabet.id_of("@@"),)), final)
+            nfa.finals = {final}
+
+    return determinize(nfa)
