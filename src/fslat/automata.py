@@ -598,7 +598,7 @@ def _product_edges(a, b):
     label takes the one bucketing path, one lookup in `b` per symbol with
     the symbols grouped by the state they reach."""
     if a.alphabet is not b.alphabet:
-        raise AlphabetMismatchError("intersect requires a shared alphabet")
+        raise AlphabetMismatchError("a product requires a shared alphabet")
     a_transitions = a.transitions
     b_index = b._symbol_index()
 
@@ -638,6 +638,35 @@ def intersect(a, b):
         sa, sb = pair
         edges = [(label, target) for target, label in product(sa, sb).items()]
         return sa in a_finals and sb in b_finals, edges
+
+    return trim(_canonical(a.alphabet, (0, 0), expand))
+
+
+def difference(a, b):
+    """Product construction; accepts L(a) - L(b), trimmed to useful states.
+    A symbol that `b` cannot step leaves `b` for good: the pair's second
+    state becomes None, and from there only `a` is followed.  One product
+    in place of `intersect(a, complement(b))`, with the same result."""
+    product = _product_edges(a, b)
+    a_transitions = a.transitions
+    a_finals = a.finals
+    b_finals = b.finals
+    b_index = b._symbol_index()
+
+    def expand(pair):
+        sa, sb = pair
+        if sb is None:
+            by_target, b_table = {}, {}
+        else:
+            by_target, b_table = product(sa, sb), b_index[sb]
+        for label, da in a_transitions[sa]:
+            rest = label.difference(b_table)  # the symbols `b` cannot step
+            if rest:
+                key = (da, None)
+                got = by_target.get(key)
+                by_target[key] = rest if got is None else got | rest
+        edges = [(label, target) for target, label in by_target.items()]
+        return sa in a_finals and sb not in b_finals, edges
 
     return trim(_canonical(a.alphabet, (0, 0), expand))
 
@@ -971,9 +1000,7 @@ def _strings_of_length(expanded, live, length):
 
 def language_equal(a, b):
     """Language equivalence via emptiness of the symmetric difference."""
-    if a.alphabet is not b.alphabet:
-        raise AlphabetMismatchError("language_equal requires a shared alphabet")
-    return is_empty(intersect(a, complement(b))) and is_empty(intersect(b, complement(a)))
+    return is_empty(difference(a, b)) and is_empty(difference(b, a))
 
 
 def erase_symbol(dfa, sym):

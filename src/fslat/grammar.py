@@ -41,9 +41,9 @@ from .automata import (
     Syms,
     complement,
     determinize,
+    difference,
     erase_symbol,
     from_pattern,
-    intersect,
     minimize,
     nullable,
 )
@@ -510,8 +510,10 @@ def compile_rule(rule, alphabet):
     Implication rules use a marker construction: violating strings are
     those factorizable as u x v with x in the target and no context
     licensing (u, v); both occurrence ends are marked with a scratch
-    symbol, the licensed markings are subtracted, and the markers are
-    erased again.  Reject rules compile directly to the complement of
+    symbol, each context's licensed markings are subtracted by one
+    `difference` product, and the marked violations are minimized before
+    the markers are erased, which keeps the subset construction after
+    erasure small.  Reject rules compile directly to the complement of
     sigma* pattern sigma*.
 
     The construction runs over the rule's own blocks (`rule_blocks`), one
@@ -573,11 +575,10 @@ def _compile_implication(rule, alphabet):
         )
     for left, right in rule.contexts:
         licensed = Seq((base_star, left, mark_lit, base_star, mark_lit, right, base_star))
-        licensed_dfa = determinize(from_pattern(licensed, scratch))
-        bad = intersect(bad, complement(licensed_dfa))
-        if not bad.finals:  # `intersect` output is trim
+        bad = difference(bad, determinize(from_pattern(licensed, scratch)))
+        if not bad.finals:  # `difference` output is trim
             break
-    violating = determinize(erase_symbol(bad, mark))
+    violating = determinize(erase_symbol(minimize(bad), mark))
     violating = Dfa(alphabet, violating.transitions, violating.finals)
     return minimize(complement(violating))
 

@@ -19,6 +19,7 @@ from fslat.automata import (
     complement,
     count_paths,
     determinize,
+    difference,
     dump,
     empty_dfa,
     enumerate_strings,
@@ -253,6 +254,30 @@ class TestIntersect:
         a = determinize(from_pattern(Seq((lit(alph, "A"), lit(alph, "A"))), alph))
         b = determinize(from_pattern(Seq((lit(alph, "B"), lit(alph, "B"))), alph))
         assert is_empty(intersect(a, b))
+
+
+class TestDifference:
+    def test_b_empty_keeps_a(self, abc):
+        d = determinize(from_pattern(a_or_ab(abc), abc))
+        got = difference(d, empty_dfa(abc))
+        assert (got.transitions, got.finals) == (d.transitions, d.finals)
+
+    def test_b_sigma_star_leaves_nothing(self, abc):
+        d = determinize(from_pattern(a_or_ab(abc), abc))
+        got = difference(d, sigma_star(abc))
+        assert (got.transitions, got.finals) == (((),), frozenset())
+
+    def test_a_empty_leaves_nothing(self, abc):
+        d = determinize(from_pattern(a_or_ab(abc), abc))
+        got = difference(empty_dfa(abc), d)
+        assert (got.transitions, got.finals) == (((),), frozenset())
+
+    def test_alphabet_mismatch(self, abc):
+        other = Alphabet(["A", "B"])
+        with pytest.raises(AlphabetMismatchError):
+            difference(sigma_star(abc), sigma_star(other))
+        with pytest.raises(AlphabetMismatchError):
+            language_equal(sigma_star(abc), sigma_star(other))
 
 
 def intersect_minimal(a, b):
@@ -797,6 +822,32 @@ def lattices(draw):
         branch = join
     finals.add(branch)
     return Dfa(_WIDE_ALPHABET, transitions, finals)
+
+
+def merge_targets(d):
+    """`d` with the labels of each state's edges into one target merged
+    into one wider label."""
+    transitions = []
+    for edges in d.transitions:
+        by_target = {}
+        for label, dst in edges:
+            by_target[dst] = by_target.get(dst, frozenset()) | label
+        transitions.append([(label, dst) for dst, label in by_target.items()])
+    return Dfa(d.alphabet, transitions, d.finals)
+
+
+@settings(max_examples=500, deadline=None)
+@given(dfas() | dags(), dfas() | dags(), st.booleans(), st.booleans())
+def test_property_difference_is_intersect_with_complement(a, b, merge_a, merge_b):
+    if merge_a:
+        a = merge_targets(a)
+    if merge_b:
+        b = merge_targets(b)
+    got = difference(a, b)
+    want = intersect(a, complement(b))
+    assert dump(got) == dump(want)
+    assert (got.transitions, got.finals) == (want.transitions, want.finals)
+    assert_canonical(got)
 
 
 @settings(max_examples=500, deadline=None)

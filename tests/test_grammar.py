@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +16,7 @@ from fslat.automata import (
     is_empty,
     language_equal,
 )
-from fslat.engine import build_alphabet
+from fslat.engine import Pipeline, build_alphabet
 from fslat.grammar import (
     MAX_NESTING,
     GrammarCompileError,
@@ -31,7 +32,7 @@ from fslat.grammar import (
     rule_blocks,
 )
 
-from .util import exhaustive_strings
+from .util import exhaustive_strings, marker_compile
 
 SUBJECT_RULE = """
 FinMainVerb    = VFIN @MV ;
@@ -660,3 +661,50 @@ def test_property_block_compile_matches_oracle(case, seed):
         assert compiled.automaton.accepts(w) == brute_force_accepts(
             rule, w, alph
         ), (rule.name, w)
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 10**9))
+def test_property_compile_matches_marker_oracle(case, seed):
+    texts, header, symbols, _ = BLOCK_CASES[case]
+    rng = random.Random(seed)
+    if symbols is None:  # a rule naming one or two of the 60 symbols
+        symbols = rng.sample(texts, rng.randint(1, 2))
+    grammar = expand_constants(parse_grammar(header + random_block_rule_text(rng, symbols)))
+    alph = Alphabet(texts, grammar.classes)
+    rule = grammar.rules[0]
+    with mock.patch.object(grammar_module, "_compile_implication", marker_compile):
+        try:
+            want = compile_rule(rule, alph).automaton
+        except GrammarCompileError:
+            want = None
+    if want is None:  # empty-string or empty-language targets
+        with pytest.raises(GrammarCompileError):
+            compile_rule(rule, alph)
+        return
+    got = compile_rule(rule, alph).automaton
+    assert dump(got) == dump(want), rule.name
+
+
+#: The states `determinize` returns over one build of the demo pipeline.
+#: Minimizing the marked violations before their markers are erased keeps
+#: the subset construction after erasure small: without it a build
+#: determinizes 2888 states.
+DEMO_BUILD_DETERMINIZED_STATES = 1825
+
+
+def test_demo_build_determinized_states(
+    monkeypatch, demo_lexicon, demo_map, demo_grammar, registry
+):
+    states = []
+    original = grammar_module.determinize
+
+    def counting(nfa):
+        dfa = original(nfa)
+        states.append(dfa.n_states)
+        return dfa
+
+    monkeypatch.setattr(grammar_module, "determinize", counting)
+    Pipeline.build(demo_lexicon, demo_map, demo_grammar, registry)
+    assert sum(states) == DEMO_BUILD_DETERMINIZED_STATES

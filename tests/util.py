@@ -3,7 +3,22 @@
 import itertools
 import random
 
-from fslat.automata import Alphabet, Dfa, Nfa, determinize, trim
+from fslat.automata import (
+    Alphabet,
+    Dfa,
+    Nfa,
+    Seq,
+    Syms,
+    complement,
+    determinize,
+    erase_symbol,
+    from_pattern,
+    intersect,
+    minimize,
+    nullable,
+    trim,
+)
+from fslat.grammar import _MARK, GrammarCompileError, _any_star
 from fslat.lattice import UNKNOWN_WORD_SYMBOL, TagError, word_symbol
 
 
@@ -130,3 +145,39 @@ def nfa_lattice(cohorts, registry, alphabet):
             nfa.finals = {final}
 
     return determinize(nfa)
+
+
+def marker_compile(rule, alphabet):
+    """The marker construction for an implication rule, without the two
+    savings of `grammar._compile_implication`: the marked violations are
+    erased unminimized, and each context is subtracted by intersecting
+    with its complement.  An oracle: both must give the same DFA."""
+    target = rule.target
+    if nullable(target):
+        raise GrammarCompileError(
+            f"rule {rule.name!r}: target accepts the empty string, "
+            "occurrence positions would be ill-defined",
+            rule.line,
+        )
+    scratch = alphabet.extended(_MARK)
+    mark = scratch.id_of(_MARK)
+    base_star = _any_star(alphabet)  # marker-free sigma*
+    mark_lit = Syms(frozenset((mark,)))
+
+    marked_occurrence = Seq((base_star, mark_lit, target, mark_lit, base_star))
+    bad = determinize(from_pattern(marked_occurrence, scratch))
+    # every state of `bad` is reachable, so it has a final state exactly
+    # when the target's language is not empty
+    if not bad.finals:
+        raise GrammarCompileError(
+            f"rule {rule.name!r}: target denotes the empty language", rule.line
+        )
+    for left, right in rule.contexts:
+        licensed = Seq((base_star, left, mark_lit, base_star, mark_lit, right, base_star))
+        licensed_dfa = determinize(from_pattern(licensed, scratch))
+        bad = intersect(bad, complement(licensed_dfa))
+        if not bad.finals:  # `intersect` output is trim
+            break
+    violating = determinize(erase_symbol(bad, mark))
+    violating = Dfa(alphabet, violating.transitions, violating.finals)
+    return minimize(complement(violating))
