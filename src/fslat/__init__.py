@@ -21,7 +21,6 @@ from .automata import (
     from_pattern,
     intersect,
     is_empty,
-    language_equal,
     minimize,
 )
 from .engine import (
@@ -50,7 +49,6 @@ from .lattice import (
     SyntacticMap,
     TagRegistry,
     build_lattice,
-    closed_form_count,
     default_registry,
     map_syntax,
     parse_syntactic_map,

@@ -13,6 +13,9 @@ Only `Dfa` values are numbered so.  A `Chain`, which folds a sequence of
 intersections over an acyclic language, is minimal, trim and counted from
 the start, keeps each step's states in the order its walk settled them
 and is numbered once, at the end.
+
+An `Nfa` is only an intermediate: `from_pattern` and `erase_symbol` build
+one and `determinize` turns it into a `Dfa`; nothing runs an NFA itself.
 """
 
 from __future__ import annotations
@@ -147,9 +150,6 @@ class Opt(Pat):
     inner: Pat
 
 
-EPSILON = Seq(())
-
-
 def nullable(pat):
     """True if the pattern's language contains the empty string."""
     if isinstance(pat, Syms):
@@ -170,7 +170,8 @@ def nullable(pat):
 
 class Nfa:
     """Nondeterministic automaton; edge labels are symbol-id frozensets,
-    or None for an epsilon edge."""
+    or None for an epsilon edge.  Built by `from_pattern` and
+    `erase_symbol` and read only by `determinize`."""
 
     def __init__(self, alphabet):
         self.alphabet = alphabet
@@ -188,33 +189,6 @@ class Nfa:
     @property
     def n_states(self):
         return len(self.transitions)
-
-    def accepts(self, syms):
-        """Simulate the NFA; used by tests."""
-        current = _eps_closure(self.transitions, {self.start})
-        for sym in syms:
-            nxt = set()
-            for state in current:
-                for label, dst in self.transitions[state]:
-                    if label is not None and sym in label:
-                        nxt.add(dst)
-            current = _eps_closure(self.transitions, nxt)
-            if not current:
-                return False
-        return bool(current & self.finals)
-
-
-# Kept apart from `_search`: `Nfa.accepts` is the oracle for `determinize`.
-def _eps_closure(transitions, states):
-    seen = set(states)
-    stack = list(states)
-    while stack:
-        state = stack.pop()
-        for label, dst in transitions[state]:
-            if label is None and dst not in seen:
-                seen.add(dst)
-                stack.append(dst)
-    return frozenset(seen)
 
 
 def from_pattern(pat, alphabet):
@@ -998,11 +972,6 @@ def _strings_of_length(expanded, live, length):
                 prefix.pop()
 
 
-def language_equal(a, b):
-    """Language equivalence via emptiness of the symmetric difference."""
-    return is_empty(difference(a, b)) and is_empty(difference(b, a))
-
-
 def erase_symbol(dfa, sym):
     """NFA over the same alphabet accepting the input's language with every
     occurrence of `sym` deleted (the edge becomes an epsilon edge)."""
@@ -1023,22 +992,18 @@ def erase_symbol(dfa, sym):
     return nfa
 
 
-def dump(fa):
-    """Plain-text graph dump: one `src TAB symbol TAB dst` line per symbol
+def dump(dfa):
+    """Plain-text DFA dump: one `src TAB symbol TAB dst` line per symbol
     transition ordered by (state id, symbol id, dst), then the final states
-    under a `final:` header.  The start state is always 0.  NFA epsilon
-    edges print `-` in the symbol column and sort before symbols."""
-    alphabet = fa.alphabet
+    under a `final:` header.  The start state is always 0."""
+    alphabet = dfa.alphabet
     rows = []
-    for src, edges in enumerate(fa.transitions):
+    for src, edges in enumerate(dfa.transitions):
         for label, dst in edges:
-            if label is None:
-                rows.append((src, -1, dst, "-"))
-            else:
-                for sym in label:
-                    rows.append((src, sym, dst, alphabet.text_of(sym)))
+            for sym in label:
+                rows.append((src, sym, dst, alphabet.text_of(sym)))
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     lines = [f"{src}\t{text}\t{dst}" for src, _, dst, text in rows]
     lines.append("final:")
-    lines.extend(str(s) for s in sorted(fa.finals))
+    lines.extend(str(s) for s in sorted(dfa.finals))
     return "\n".join(lines) + "\n"

@@ -20,7 +20,6 @@ checked here; balancing is a grammar's job.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 from .automata import BOUNDARY_TEXTS, Dfa, _canonical, count_paths
@@ -74,7 +73,6 @@ class TagRegistry:
     function_tags: tuple
     clause_tags: tuple
     boundary_tags: tuple
-    case_pairs: tuple  # of (upper, lower) function-tag pairs
 
     def __post_init__(self):
         for tag in self.function_tags:
@@ -85,10 +83,6 @@ class TagRegistry:
                 raise TagError(
                     f"clause-function tag {tag!r} must end with '@' and not start with it"
                 )
-        uppers = dict(self.case_pairs)
-        for upper in ("@MV", "@AUX", "@SUBJ", "@OBJ", "@SC"):
-            if upper not in uppers:
-                raise TagError(f"missing case pairing for {upper}")
 
     def clause_tags_for(self, ftag):
         """Clause-function tags paired with a main-verb tag.
@@ -117,7 +111,6 @@ def default_registry():
         function_tags=_UPPER_FTAGS + lowers + (PUNCT_TAG,),
         clause_tags=_CLAUSE_TAGS,
         boundary_tags=BOUNDARY_TEXTS,
-        case_pairs=tuple(_CASE_PAIRS.items()),
     )
 
 
@@ -130,7 +123,6 @@ def default_registry():
 class MapRule:
     required: frozenset  # morph tags / markers that must all be present
     tags: tuple
-    line: int
 
 
 @dataclass(frozen=True)
@@ -175,7 +167,7 @@ def parse_syntactic_map(text, registry):
             raise MapError("empty pattern", lineno)
         if default is not None:
             raise MapError("the '*' default must be the final line", lineno)
-        rules.append(MapRule(frozenset(pattern), tags, lineno))
+        rules.append(MapRule(frozenset(pattern), tags))
     if default is None:
         raise MapError("map needs a final '* -> ...' default line")
     return SyntacticMap(tuple(rules), default)
@@ -345,11 +337,3 @@ def build_lattice(cohorts, registry, alphabet):
 def reading_count(lattice):
     """Exact number of sentence readings; delegates to path counting."""
     return count_paths(lattice.automaton)
-
-
-def closed_form_count(lattice):
-    """Product over tokens of their combination counts times 4^(internal
-    boundaries); equals reading_count for a freshly built lattice whose
-    readings have distinct printed forms."""
-    total = math.prod(combos for _, combos in lattice.per_token_ambiguity)
-    return total * 4 ** (len(lattice.cohorts) - 1)

@@ -21,7 +21,6 @@ from fslat.automata import (
     enumerate_strings,
     intersect,
     is_empty,
-    language_equal,
     minimize,
 )
 from fslat.cli import EXIT_OK, RunConfig, run_parse
@@ -51,7 +50,7 @@ from fslat.lexicon import (
     tokenize,
 )
 from .test_grammar import random_rule
-from .util import exhaustive_strings, random_dfa
+from .util import exhaustive_strings, language_equal, random_dfa
 
 GOLDEN = Path(__file__).parent / "golden"
 

@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from fslat import automata
-from fslat.automata import enumerate_strings, is_empty, language_equal, reduce_acyclic
+from fslat.automata import enumerate_strings, is_empty, reduce_acyclic
 from fslat.engine import (
     Pipeline,
     RuleAlphabetError,
@@ -30,6 +30,8 @@ from fslat.lattice import (
     reading_count,
 )
 from fslat.lexicon import Cohort, Entry, Lexicon, MorphReading, tokenize
+
+from .util import language_equal
 
 
 def tiny_pipeline(grammar_text=None):

@@ -14,7 +14,6 @@ from fslat.automata import (
     complement,
     dump,
     is_empty,
-    language_equal,
 )
 from fslat.engine import Pipeline, build_alphabet
 from fslat.grammar import (
@@ -32,7 +31,7 @@ from fslat.grammar import (
     rule_blocks,
 )
 
-from .util import exhaustive_strings, marker_compile
+from .util import exhaustive_strings, language_equal, marker_compile
 
 SUBJECT_RULE = """
 FinMainVerb    = VFIN @MV ;

@@ -12,7 +12,6 @@ from fslat.lattice import (
     MappedReading,
     TagError,
     build_lattice,
-    closed_form_count,
     default_registry,
     map_syntax,
     parse_syntactic_map,
@@ -20,7 +19,7 @@ from fslat.lattice import (
 )
 from fslat.lexicon import Cohort, Lexicon, MorphReading, tokenize
 
-from .util import nfa_lattice
+from .util import closed_form_count, nfa_lattice
 
 
 def make_lexicon(*entries):
@@ -71,10 +70,9 @@ class TestRegistry:
             assert tag in registry.clause_tags
 
     def test_case_pairs_cover_verbs_and_heads(self, registry):
-        pairs = dict(registry.case_pairs)
         for upper in ("@MV", "@AUX", "@SUBJ", "@OBJ", "@SC", "@OC", "@P<<"):
-            assert upper in pairs
-            assert pairs[upper] == upper.lower()
+            assert upper in registry.function_tags
+            assert upper.lower() in registry.function_tags
 
     def test_boundary_tags(self, registry):
         assert registry.boundary_tags == ("@@", "@", "@/", "@<", "@>")

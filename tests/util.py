@@ -1,6 +1,7 @@
 """Shared test helpers: independent oracles and random instance builders."""
 
 import itertools
+import math
 import random
 
 from fslat.automata import (
@@ -11,9 +12,11 @@ from fslat.automata import (
     Syms,
     complement,
     determinize,
+    difference,
     erase_symbol,
     from_pattern,
     intersect,
+    is_empty,
     minimize,
     nullable,
     trim,
@@ -29,6 +32,48 @@ def exhaustive_strings(symbols, max_len):
 
 def language_up_to(dfa, symbols, max_len):
     return {w for w in exhaustive_strings(symbols, max_len) if dfa.accepts(w)}
+
+
+def language_equal(a, b):
+    """Language equivalence via emptiness of the symmetric difference."""
+    return is_empty(difference(a, b)) and is_empty(difference(b, a))
+
+
+def nfa_accepts(nfa, syms):
+    """Simulate the NFA on a symbol-id sequence."""
+    current = _eps_closure(nfa.transitions, {nfa.start})
+    for sym in syms:
+        nxt = set()
+        for state in current:
+            for label, dst in nfa.transitions[state]:
+                if label is not None and sym in label:
+                    nxt.add(dst)
+        current = _eps_closure(nfa.transitions, nxt)
+        if not current:
+            return False
+    return bool(current & nfa.finals)
+
+
+# Kept apart from `automata._search`: `nfa_accepts` is the oracle for
+# `determinize`.
+def _eps_closure(transitions, states):
+    seen = set(states)
+    stack = list(states)
+    while stack:
+        state = stack.pop()
+        for label, dst in transitions[state]:
+            if label is None and dst not in seen:
+                seen.add(dst)
+                stack.append(dst)
+    return frozenset(seen)
+
+
+def closed_form_count(lattice):
+    """Product over tokens of their combination counts times 4^(internal
+    boundaries); equals `reading_count` for a freshly built lattice whose
+    readings have distinct printed forms."""
+    total = math.prod(combos for _, combos in lattice.per_token_ambiguity)
+    return total * 4 ** (len(lattice.cohorts) - 1)
 
 
 def random_dfa(rng, alphabet, max_states=8, density=0.7, final_p=0.4):
