@@ -11,17 +11,14 @@ from .automata import (
     AutomataError,
     Dfa,
     InfiniteLanguageError,
-    Nfa,
     PatternError,
     complement,
     count_paths,
-    determinize,
-    dump,
     enumerate_strings,
-    from_pattern,
     intersect,
     is_empty,
     minimize,
+    pattern_dfa,
 )
 from .engine import (
     Analysis,

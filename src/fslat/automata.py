@@ -13,9 +13,6 @@ Only `Dfa` values are numbered so.  A `Chain`, which folds a sequence of
 intersections over an acyclic language, is minimal, trim and counted from
 the start, keeps each step's states in the order its walk settled them
 and is numbered once, at the end.
-
-An `Nfa` is only an intermediate: `from_pattern` and `erase_symbol` build
-one and `determinize` turns it into a `Dfa`; nothing runs an NFA itself.
 """
 
 from __future__ import annotations
@@ -164,86 +161,6 @@ def nullable(pat):
 
 
 # ---------------------------------------------------------------------------
-# NFA
-# ---------------------------------------------------------------------------
-
-
-class Nfa:
-    """Nondeterministic automaton; edge labels are symbol-id frozensets,
-    or None for an epsilon edge.  Built by `from_pattern` and
-    `erase_symbol` and read only by `determinize`."""
-
-    def __init__(self, alphabet):
-        self.alphabet = alphabet
-        self.transitions = []
-        self.start = 0
-        self.finals = set()
-
-    def add_state(self):
-        self.transitions.append([])
-        return len(self.transitions) - 1
-
-    def add_edge(self, src, label, dst):
-        self.transitions[src].append((label, dst))
-
-    @property
-    def n_states(self):
-        return len(self.transitions)
-
-
-def from_pattern(pat, alphabet):
-    """Thompson construction: an NFA accepting exactly the pattern's language.
-
-    Handles symbol sets, concatenation, union, star and option.
-    """
-    nfa = Nfa(alphabet)
-
-    def build(node):
-        if isinstance(node, Syms):
-            i, o = nfa.add_state(), nfa.add_state()
-            nfa.add_edge(i, node.ids, o)
-            return i, o
-        if isinstance(node, Seq):
-            if not node.parts:
-                i = nfa.add_state()
-                return i, i
-            first_in, prev_out = build(node.parts[0])
-            for part in node.parts[1:]:
-                i, o = build(part)
-                nfa.add_edge(prev_out, None, i)
-                prev_out = o
-            return first_in, prev_out
-        if isinstance(node, Alt):
-            i, o = nfa.add_state(), nfa.add_state()
-            if not node.parts:
-                return i, o  # empty union: empty language
-            for part in node.parts:
-                pi, po = build(part)
-                nfa.add_edge(i, None, pi)
-                nfa.add_edge(po, None, o)
-            return i, o
-        if isinstance(node, Star):
-            pi, po = build(node.inner)
-            i = nfa.add_state()
-            nfa.add_edge(i, None, pi)
-            nfa.add_edge(po, None, i)
-            return i, i
-        if isinstance(node, Opt):
-            pi, po = build(node.inner)
-            i, o = nfa.add_state(), nfa.add_state()
-            nfa.add_edge(i, None, pi)
-            nfa.add_edge(i, None, o)
-            nfa.add_edge(po, None, o)
-            return i, o
-        raise TypeError(f"not a pattern: {node!r}")
-
-    start, out = build(pat)
-    nfa.start = start
-    nfa.finals = {out}
-    return nfa
-
-
-# ---------------------------------------------------------------------------
 # DFA
 # ---------------------------------------------------------------------------
 
@@ -342,51 +259,127 @@ def _merge_by_class(edges, cls):
     return [(label, c) for c, label in merged.items()]
 
 
-def determinize(nfa):
-    """Subset construction; the result is deterministic, epsilon-free and
-    trimmed to states reachable from the start.  A subset's moves are
-    collected per symbol and symbols with the same target closure share
-    one edge, so the cost follows the symbols the labels hold: callers
-    that step wide classes pass an alphabet already grouped into blocks
-    (as `grammar.compile_rule` does)."""
-    n = nfa.n_states
-    eps = [[] for _ in range(n)]
-    sym_edges = [[] for _ in range(n)]
-    for src in range(n):
-        for label, dst in nfa.transitions[src]:
-            if label is None:
-                eps[src].append(dst)
-            elif label:
-                sym_edges[src].append((label, dst))
+def _subset_edges(moves, close):
+    """The edges of one state of a subset construction.  `moves` yields
+    the `(label, target)` edges of the state's members; each symbol goes
+    to the set of targets its edges reach, `close` turns that set into the
+    target state's key, and symbols with equal keys share one edge.  The
+    one place a subset construction groups symbols by target: the cost
+    follows the symbols the labels hold, so callers that step wide classes
+    pass an alphabet already grouped into blocks (as `grammar.compile_rule`
+    does)."""
+    targets = {}
+    for label, dst in moves:
+        for sym in label:
+            got = targets.get(sym)
+            if got is None:
+                targets[sym] = {dst}
+            else:
+                got.add(dst)
+    grouped = {}
+    for sym, dsts in targets.items():
+        grouped.setdefault(close(dsts), []).append(sym)
+    return [(frozenset(syms), key) for key, syms in grouped.items()]
 
-    closures = {}  # move set -> its epsilon closure
+
+def pattern_dfa(pat, alphabet):
+    """The DFA of the pattern's language, by the position construction
+    (McNaughton & Yamada 1960; Glushkov 1961) with no NFA in between.
+
+    Each `Syms` leaf is a position.  One walk over the pattern numbers the
+    positions and computes whether the pattern is nullable and its first
+    and last positions, and for each position the positions that may
+    follow it.  The subset construction then runs over sets of positions:
+    a string that has just matched position p goes on with a position that
+    follows p and whose symbol set holds the next symbol.  The start is the
+    pseudo-position -1, which is followed by the first positions and is
+    accepting iff the pattern is nullable; a set of positions is accepting
+    iff it holds a last position.
+    """
+    labels = []  # the symbol set of each position
+    follow = []  # the positions that may come right after each position
+
+    def walk(node):
+        """`(nullable, first, last)` of `node`; numbers its positions and
+        adds the follow pairs inside it."""
+        if isinstance(node, Syms):
+            p = len(labels)
+            labels.append(node.ids)
+            follow.append(set())
+            return False, {p}, {p}
+        if isinstance(node, Seq):
+            null, first, last = True, set(), set()
+            for part in node.parts:
+                part_null, part_first, part_last = walk(part)
+                for p in last:
+                    follow[p] |= part_first
+                if null:
+                    first |= part_first
+                last = part_last | last if part_null else part_last
+                null = null and part_null
+            return null, first, last
+        if isinstance(node, Alt):
+            null, first, last = False, set(), set()
+            for part in node.parts:
+                part_null, part_first, part_last = walk(part)
+                null = null or part_null
+                first |= part_first
+                last |= part_last
+            return null, first, last
+        if isinstance(node, (Star, Opt)):
+            _, first, last = walk(node.inner)
+            if isinstance(node, Star):
+                for p in last:
+                    follow[p] |= first
+            return True, first, last
+        raise TypeError(f"not a pattern: {node!r}")
+
+    null, first, last = walk(pat)
+    follow.append(first)  # the start's, as pseudo-position -1
+    if null:
+        last = last | {-1}
+
+    def expand(subset):
+        reach = set().union(*(follow[p] for p in subset))
+        edges = _subset_edges(((labels[q], q) for q in reach), frozenset)
+        return not last.isdisjoint(subset), edges
+
+    return _canonical(alphabet, frozenset((-1,)), expand)
+
+
+def erase_symbol(dfa, sym):
+    """A DFA over the input's alphabet accepting the input's language with
+    every occurrence of `sym` deleted.  Subset construction over the
+    input's states: each subset is closed under the edges whose label holds
+    `sym`, and its edges step every other symbol.  The closures are
+    memoized by the set they close."""
+    erased = [[dst for label, dst in edges if sym in label] for edges in dfa.transitions]
+    stepped = [
+        [(label - {sym} if sym in label else label, dst) for label, dst in edges]
+        for edges in dfa.transitions
+    ]
+    closures = {}  # set of states -> its closure under `sym` edges
 
     def closure(states):
+        states = frozenset(states)
         got = closures.get(states)
         if got is None:
-            got = closures[states] = frozenset(_search(states, eps))
+            got = closures[states] = frozenset(_search(states, erased))
         return got
 
     def expand(subset):
-        moves = {}
-        for state in subset:
-            for label, dst in sym_edges[state]:
-                for sym in label:
-                    moves.setdefault(sym, set()).add(dst)
-        grouped = {}
-        for sym, dsts in moves.items():
-            grouped.setdefault(closure(frozenset(dsts)), []).append(sym)
-        edges = [(frozenset(syms), target) for target, syms in grouped.items()]
-        return not subset.isdisjoint(nfa.finals), edges
+        edges = _subset_edges((edge for s in subset for edge in stepped[s]), closure)
+        return not dfa.finals.isdisjoint(subset), edges
 
-    return _canonical(nfa.alphabet, closure(frozenset((nfa.start,))), expand)
+    return _canonical(dfa.alphabet, closure((0,)), expand)
 
 
 def _search(starts, successors):
     """The set of states reached from `starts` along `successors`, which
     lists each state's next states, depth-first with an explicit stack.
     The one graph search: `_useful` runs it over `_predecessors`, and
-    `determinize` over epsilon edges for its memoized closures."""
+    `erase_symbol` over the erased symbol's edges for its memoized
+    closures."""
     seen = set(starts)
     stack = list(seen)
     while stack:
@@ -970,40 +963,3 @@ def _strings_of_length(expanded, live, length):
             stack.pop()
             if prefix:
                 prefix.pop()
-
-
-def erase_symbol(dfa, sym):
-    """NFA over the same alphabet accepting the input's language with every
-    occurrence of `sym` deleted (the edge becomes an epsilon edge)."""
-    nfa = Nfa(dfa.alphabet)
-    for _ in range(dfa.n_states):
-        nfa.add_state()
-    for src, edges in enumerate(dfa.transitions):
-        for label, dst in edges:
-            if sym in label:
-                nfa.add_edge(src, None, dst)
-                rest = label - {sym}
-                if rest:
-                    nfa.add_edge(src, rest, dst)
-            else:
-                nfa.add_edge(src, label, dst)
-    nfa.start = 0
-    nfa.finals = set(dfa.finals)
-    return nfa
-
-
-def dump(dfa):
-    """Plain-text DFA dump: one `src TAB symbol TAB dst` line per symbol
-    transition ordered by (state id, symbol id, dst), then the final states
-    under a `final:` header.  The start state is always 0."""
-    alphabet = dfa.alphabet
-    rows = []
-    for src, edges in enumerate(dfa.transitions):
-        for label, dst in edges:
-            for sym in label:
-                rows.append((src, sym, dst, alphabet.text_of(sym)))
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    lines = [f"{src}\t{text}\t{dst}" for src, _, dst, text in rows]
-    lines.append("final:")
-    lines.extend(str(s) for s in sorted(dfa.finals))
-    return "\n".join(lines) + "\n"

@@ -40,12 +40,11 @@ from .automata import (
     Star,
     Syms,
     complement,
-    determinize,
     difference,
     erase_symbol,
-    from_pattern,
     minimize,
     nullable,
+    pattern_dfa,
 )
 
 
@@ -507,13 +506,14 @@ def compile_rule(rule, alphabet):
     """Compile one constant-free rule to a DFA accepting exactly the
     non-violating strings over `alphabet`, resolved by `resolve_rule`.
 
+    Every pattern goes straight to a DFA by `automata.pattern_dfa`.
     Implication rules use a marker construction: violating strings are
     those factorizable as u x v with x in the target and no context
     licensing (u, v); both occurrence ends are marked with a scratch
     symbol, each context's licensed markings are subtracted by one
     `difference` product, and the marked violations are minimized before
-    the markers are erased, which keeps the subset construction after
-    erasure small.  Reject rules compile directly to the complement of
+    `erase_symbol` erases the markers by a subset construction, which
+    this keeps small.  Reject rules compile directly to the complement of
     sigma* pattern sigma*.
 
     The construction runs over the rule's own blocks (`rule_blocks`), one
@@ -549,7 +549,7 @@ def compile_rule(rule, alphabet):
 
 def _compile_reject(rule, alphabet):
     occurs = Seq((_any_star(alphabet), rule.pattern, _any_star(alphabet)))
-    return minimize(complement(determinize(from_pattern(occurs, alphabet))))
+    return minimize(complement(pattern_dfa(occurs, alphabet)))
 
 
 def _compile_implication(rule, alphabet):
@@ -566,7 +566,7 @@ def _compile_implication(rule, alphabet):
     mark_lit = Syms(frozenset((mark,)))
 
     marked_occurrence = Seq((base_star, mark_lit, target, mark_lit, base_star))
-    bad = determinize(from_pattern(marked_occurrence, scratch))
+    bad = pattern_dfa(marked_occurrence, scratch)
     # every state of `bad` is reachable, so it has a final state exactly
     # when the target's language is not empty
     if not bad.finals:
@@ -575,10 +575,10 @@ def _compile_implication(rule, alphabet):
         )
     for left, right in rule.contexts:
         licensed = Seq((base_star, left, mark_lit, base_star, mark_lit, right, base_star))
-        bad = difference(bad, determinize(from_pattern(licensed, scratch)))
+        bad = difference(bad, pattern_dfa(licensed, scratch))
         if not bad.finals:  # `difference` output is trim
             break
-    violating = determinize(erase_symbol(minimize(bad), mark))
+    violating = erase_symbol(minimize(bad), mark)
     violating = Dfa(alphabet, violating.transitions, violating.finals)
     return minimize(complement(violating))
 

@@ -10,7 +10,6 @@ from fslat.automata import (
     Chain,
     Dfa,
     InfiniteLanguageError,
-    Nfa,
     Opt,
     PatternError,
     Seq,
@@ -18,26 +17,31 @@ from fslat.automata import (
     Syms,
     complement,
     count_paths,
-    determinize,
     difference,
-    dump,
     empty_dfa,
     enumerate_strings,
-    from_pattern,
+    erase_symbol,
     intersect,
     is_empty,
     minimize,
+    pattern_dfa,
     reduce_acyclic,
     trim,
 )
 from fslat.automata import _register_product
+from fslat.grammar import _Matcher
 from .util import (
+    Nfa,
+    determinize,
+    dump,
     exhaustive_strings,
+    from_pattern,
     hand_matcher,
     language_equal,
     language_up_to,
     naive_moore_minimal_states,
     nfa_accepts,
+    nfa_erase_symbol,
     random_dfa,
 )
 
@@ -93,14 +97,16 @@ class TestAlphabet:
 
 
 class TestFromPattern:
+    """`pattern_dfa`: a pattern straight to a DFA."""
+
     def test_single_symbol(self, abc):
-        d = determinize(from_pattern(lit(abc, "V"), abc))
+        d = pattern_dfa(lit(abc, "V"), abc)
         assert d.accepts(ids(abc, "V"))
         assert not d.accepts([])
         assert not d.accepts(ids(abc, "A"))
 
     def test_star(self, abc):
-        d = determinize(from_pattern(Star(lit(abc, "A")), abc))
+        d = pattern_dfa(Star(lit(abc, "A")), abc)
         assert d.accepts([])
         assert d.accepts(ids(abc, "A"))
         assert d.accepts(ids(abc, "A", "A"))
@@ -108,9 +114,7 @@ class TestFromPattern:
 
     def test_class_concat_against_hand_matcher(self, abc):
         # concat(class CLB, VFIN) over the boundary symbols
-        d = determinize(
-            from_pattern(Seq((Syms(abc.classes["CLB"]), lit(abc, "VFIN"))), abc)
-        )
+        d = pattern_dfa(Seq((Syms(abc.classes["CLB"]), lit(abc, "VFIN"))), abc)
         clb = ["@/", "@<", "@>"]
         five = ["@/", "@<", "@>", "@", "VFIN"]
         for w in exhaustive_strings(five, 2):
@@ -118,13 +122,15 @@ class TestFromPattern:
             assert d.accepts(ids(abc, *w)) == want, w
 
     def test_option(self, abc):
-        d = determinize(from_pattern(Seq((Opt(lit(abc, "A")), lit(abc, "B"))), abc))
+        d = pattern_dfa(Seq((Opt(lit(abc, "A")), lit(abc, "B"))), abc)
         assert d.accepts(ids(abc, "B"))
         assert d.accepts(ids(abc, "A", "B"))
         assert not d.accepts(ids(abc, "A"))
 
 
 class TestDeterminize:
+    """The oracles' subset construction over an NFA with epsilon edges."""
+
     def test_a_or_aa(self, abc):
         nfa = from_pattern(Alt((lit(abc, "A"), Seq((lit(abc, "A"), lit(abc, "A"))))), abc)
         d = determinize(nfa)
@@ -138,8 +144,6 @@ class TestDeterminize:
     def test_idempotent_on_deterministic_input(self, abc):
         d = determinize(from_pattern(Seq((lit(abc, "A"), lit(abc, "B"))), abc))
         # feed the DFA back through the NFA pipeline
-        from fslat.automata import Nfa
-
         nfa = Nfa(abc)
         for _ in range(d.n_states):
             nfa.add_state()
@@ -153,22 +157,20 @@ class TestDeterminize:
 
 class TestMinimize:
     def test_minimal_input_is_fixed_point(self, abc):
-        d = minimize(determinize(from_pattern(Seq((lit(abc, "A"), lit(abc, "B"))), abc)))
+        d = minimize(pattern_dfa(Seq((lit(abc, "A"), lit(abc, "B"))), abc))
         assert minimize(d).n_states == d.n_states
 
     def test_redundant_states_merge(self, abc):
         # two parallel branches accepting the same string
-        d = determinize(
-            from_pattern(
-                Alt((Seq((lit(abc, "A"), lit(abc, "B"))), Seq((lit(abc, "A"), lit(abc, "B"))))), abc
-            )
+        d = pattern_dfa(
+            Alt((Seq((lit(abc, "A"), lit(abc, "B"))), Seq((lit(abc, "A"), lit(abc, "B"))))), abc
         )
         m = minimize(d)
         assert m.n_states == 3
         assert language_equal(d, m)
 
     def test_empty_language_canonical(self, abc):
-        d = minimize(determinize(from_pattern(Alt(()), abc)))
+        d = minimize(pattern_dfa(Alt(()), abc))
         assert d.n_states == 1 and not d.finals
 
     def test_against_partition_refinement_oracle(self, abc):
@@ -208,14 +210,12 @@ class TestComplement:
             assert language_equal(cc, d)
 
     def test_accept_all_becomes_empty(self, abc):
-        everything = determinize(
-            from_pattern(Star(Syms(abc.id_set())), abc)
-        )
+        everything = pattern_dfa(Star(Syms(abc.id_set())), abc)
         assert is_empty(complement(everything))
 
     def test_single_string(self):
         alph = Alphabet(["A", "B"])
-        d = determinize(from_pattern(lit(alph, "A"), alph))
+        d = pattern_dfa(lit(alph, "A"), alph)
         c = complement(d)
         assert c.accepts([])
         assert c.accepts(ids(alph, "B"))
@@ -225,17 +225,15 @@ class TestComplement:
 
 class TestIntersect:
     def test_identity_and_absorbing(self, abc):
-        d = determinize(from_pattern(a_or_ab(abc), abc))
-        everything = determinize(from_pattern(Star(Syms(abc.id_set())), abc))
-        empty = determinize(from_pattern(Alt(()), abc))
+        d = pattern_dfa(a_or_ab(abc), abc)
+        everything = pattern_dfa(Star(Syms(abc.id_set())), abc)
+        empty = pattern_dfa(Alt(()), abc)
         assert language_equal(intersect(d, everything), d)
         assert is_empty(intersect(d, empty))
 
     def test_enumeration_oracle(self, abc):
-        d1 = determinize(from_pattern(a_or_ab(abc), abc))
-        d2 = determinize(
-            from_pattern(Alt((Seq((lit(abc, "A"), lit(abc, "B"))), lit(abc, "B"))), abc)
-        )
+        d1 = pattern_dfa(a_or_ab(abc), abc)
+        d2 = pattern_dfa(Alt((Seq((lit(abc, "A"), lit(abc, "B"))), lit(abc, "B"))), abc)
         di = intersect(d1, d2)
         got = language_up_to(di, ids(abc, "A", "B"), 2)
         assert got == {tuple(ids(abc, "A", "B"))}
@@ -252,24 +250,24 @@ class TestIntersect:
 
     def test_disjoint_singletons_empty(self):
         alph = Alphabet(["A", "B"])
-        a = determinize(from_pattern(Seq((lit(alph, "A"), lit(alph, "A"))), alph))
-        b = determinize(from_pattern(Seq((lit(alph, "B"), lit(alph, "B"))), alph))
+        a = pattern_dfa(Seq((lit(alph, "A"), lit(alph, "A"))), alph)
+        b = pattern_dfa(Seq((lit(alph, "B"), lit(alph, "B"))), alph)
         assert is_empty(intersect(a, b))
 
 
 class TestDifference:
     def test_b_empty_keeps_a(self, abc):
-        d = determinize(from_pattern(a_or_ab(abc), abc))
+        d = pattern_dfa(a_or_ab(abc), abc)
         got = difference(d, empty_dfa(abc))
         assert (got.transitions, got.finals) == (d.transitions, d.finals)
 
     def test_b_sigma_star_leaves_nothing(self, abc):
-        d = determinize(from_pattern(a_or_ab(abc), abc))
+        d = pattern_dfa(a_or_ab(abc), abc)
         got = difference(d, sigma_star(abc))
         assert (got.transitions, got.finals) == (((),), frozenset())
 
     def test_a_empty_leaves_nothing(self, abc):
-        d = determinize(from_pattern(a_or_ab(abc), abc))
+        d = pattern_dfa(a_or_ab(abc), abc)
         got = difference(empty_dfa(abc), d)
         assert (got.transitions, got.finals) == (((),), frozenset())
 
@@ -290,14 +288,14 @@ def intersect_minimal(a, b):
 class TestIntersectMinimal:
     def test_empty_product_is_empty_dfa(self):
         alph = Alphabet(["A", "B"])
-        a = determinize(from_pattern(Seq((lit(alph, "A"), lit(alph, "A"))), alph))
-        b = determinize(from_pattern(Seq((lit(alph, "A"), lit(alph, "B"))), alph))
+        a = pattern_dfa(Seq((lit(alph, "A"), lit(alph, "A"))), alph)
+        b = pattern_dfa(Seq((lit(alph, "A"), lit(alph, "B"))), alph)
         got, count = intersect_minimal(a, b)
         empty = empty_dfa(alph)
         assert (got.transitions, got.finals, count) == (empty.transitions, empty.finals, 0)
 
     def test_useful_cycle_raises(self, abc):
-        star = determinize(from_pattern(Star(lit(abc, "A")), abc))
+        star = pattern_dfa(Star(lit(abc, "A")), abc)
         with pytest.raises(InfiniteLanguageError):
             intersect_minimal(star, star)
 
@@ -352,7 +350,7 @@ class TestRunLabels:
             Seq(tuple(Syms(frozenset(ids(alph, *part))) for part in string.split()))
             for string in strings
         )
-        return determinize(from_pattern(Alt(pats), alph))
+        return pattern_dfa(Alt(pats), alph)
 
     def _chain(self, alph):
         """`A {W,X,Y,Z} B | B`: class after `A` has one edge with a
@@ -414,7 +412,7 @@ class TestRunLabels:
 
 class TestChain:
     def _dfa(self, alph, pat):
-        return determinize(from_pattern(pat, alph))
+        return pattern_dfa(pat, alph)
 
     def _stepped(self, alph):
         """A chain of `A | A B`."""
@@ -478,13 +476,13 @@ class TestChain:
 
 class TestIsEmpty:
     def test_cases(self, abc):
-        assert is_empty(determinize(from_pattern(Alt(()), abc)))
-        assert not is_empty(determinize(from_pattern(lit(abc, "A"), abc)))
+        assert is_empty(pattern_dfa(Alt(()), abc))
+        assert not is_empty(pattern_dfa(lit(abc, "A"), abc))
 
 
 class TestCountPaths:
     def test_single_string(self, abc):
-        d = determinize(from_pattern(Seq((lit(abc, "A"), lit(abc, "B"))), abc))
+        d = pattern_dfa(Seq((lit(abc, "A"), lit(abc, "B"))), abc)
         assert count_paths(d) == 1
 
     def test_grid_closed_form(self):
@@ -493,12 +491,12 @@ class TestCountPaths:
         for n in range(1, 5):
             for k in (1, 2, 3):
                 label = Syms(frozenset(ids(alph, *[f"S{i+1}" for i in range(k)])))
-                d = determinize(from_pattern(Seq((label,) * n), alph))
+                d = pattern_dfa(Seq((label,) * n), alph)
                 assert count_paths(d) == k**n
                 assert len(enumerate_strings(d, k**n + 5)) == k**n
 
     def test_infinite_language_error(self, abc):
-        d = determinize(from_pattern(Star(lit(abc, "A")), abc))
+        d = pattern_dfa(Star(lit(abc, "A")), abc)
         with pytest.raises(InfiniteLanguageError):
             count_paths(d)
 
@@ -524,7 +522,7 @@ class TestCountPaths:
             Syms(frozenset(alph.id_of(f"T{i}") for i in range((pos % 70) + 1)))
             for pos in range(39)
         ]
-        d = determinize(from_pattern(Seq(tuple(labels)), alph))
+        d = pattern_dfa(Seq(tuple(labels)), alph)
         t0 = time.perf_counter()
         n = count_paths(d)
         assert time.perf_counter() - t0 < 1.0
@@ -533,16 +531,16 @@ class TestCountPaths:
 
 class TestEnumerate:
     def test_empty(self, abc):
-        assert enumerate_strings(determinize(from_pattern(Alt(()), abc)), 10) == []
+        assert enumerate_strings(pattern_dfa(Alt(()), abc), 10) == []
 
     def test_small_language(self, abc):
-        d = determinize(from_pattern(a_or_ab(abc), abc))
+        d = pattern_dfa(a_or_ab(abc), abc)
         a, b = ids(abc, "A", "B")
         assert enumerate_strings(d, 10) == [(a,), (a, b)]
         assert enumerate_strings(d, 1) == [(a,)]
 
     def test_limit_zero(self, abc):
-        d = determinize(from_pattern(lit(abc, "A"), abc))
+        d = pattern_dfa(lit(abc, "A"), abc)
         assert enumerate_strings(d, 0) == []
 
     def test_shortlex_order(self):
@@ -575,7 +573,7 @@ class TestEnumerate:
 class TestDump:
     def test_format(self):
         alph = Alphabet(["A", "B"])
-        d = determinize(from_pattern(a_or_ab(alph), alph))
+        d = pattern_dfa(a_or_ab(alph), alph)
         text = dump(d)
         lines = text.splitlines()
         assert lines[0] == "0\tA\t1"
@@ -691,6 +689,29 @@ def test_property_determinize_matches_nfa(nfa):
         assert d.accepts(w) == nfa_accepts(nfa, w), w
 
 
+#: Random patterns over the three symbols: labels of zero to three symbols
+#: that overlap, empty sequences and unions, and nested stars and options.
+patterns = st.recursive(
+    st.builds(Syms, st.frozensets(st.sampled_from(_PROP_SYMS))),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3).map(lambda parts: Seq(tuple(parts))),
+        st.lists(inner, max_size=3).map(lambda parts: Alt(tuple(parts))),
+        st.builds(Star, inner),
+        st.builds(Opt, inner),
+    ),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(patterns)
+def test_property_pattern_dfa_matches_the_referee(pat):
+    d = pattern_dfa(pat, _PROP_ALPHABET)
+    assert_canonical(d)
+    for w in exhaustive_strings(_PROP_SYMS, 5):
+        assert d.accepts(w) == (len(w) in _Matcher(w).ends(pat, 0)), (pat, w)
+
+
 _WIDE_ALPHABET = Alphabet([f"W{i}" for i in range(6)])
 _WIDE_SYMS = tuple(_WIDE_ALPHABET.id_of(f"W{i}") for i in range(6))
 
@@ -758,7 +779,7 @@ def test_property_outputs_are_canonical(a, b):
     acyclic = intersect(a, _UP_TO_4)
     reduced = reduce_acyclic(acyclic)
     for d in (
-        determinize(_as_nfa(a)),
+        erase_symbol(a, _PROP_SYMS[0]),
         trim(a),
         minimize(a),
         reduced,
@@ -849,6 +870,16 @@ def test_property_difference_is_intersect_with_complement(a, b, merge_a, merge_b
     assert dump(got) == dump(want)
     assert (got.transitions, got.finals) == (want.transitions, want.finals)
     assert_canonical(got)
+
+
+@settings(max_examples=500, deadline=None)
+@given(dfas() | dags(), st.sampled_from(_PROP_SYMS), st.booleans())
+def test_property_erase_symbol_matches_the_nfa_oracle(d, sym, merge):
+    if merge:  # so some labels hold `sym` and other symbols
+        d = merge_targets(d)
+    got = erase_symbol(d, sym)
+    want = determinize(nfa_erase_symbol(d, sym))
+    assert (got.transitions, got.finals) == (want.transitions, want.finals)
 
 
 @settings(max_examples=500, deadline=None)

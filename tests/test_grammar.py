@@ -12,7 +12,6 @@ from fslat.automata import (
     PatternError,
     Syms,
     complement,
-    dump,
     is_empty,
 )
 from fslat.engine import Pipeline, build_alphabet
@@ -31,7 +30,7 @@ from fslat.grammar import (
     rule_blocks,
 )
 
-from .util import exhaustive_strings, language_equal, marker_compile
+from .util import dump, exhaustive_strings, language_equal, marker_compile
 
 SUBJECT_RULE = """
 FinMainVerb    = VFIN @MV ;
@@ -272,6 +271,26 @@ class TestNesting:
         with pytest.raises(GrammarCompileError) as err:
             expand_constants(parse_grammar(shallow + f"X => {nested(half + 1, 'K')} _ ;"))
         assert err.value.line == 1  # inside K, not at the reference
+
+    def test_rule_at_the_bound_compiles_as_the_oracle(self):
+        # every side of the rule reaches the bound: the target through
+        # groups, the first context through groups and options, the second
+        # through constants that each open a group and an option
+        depth = MAX_NESTING
+        chain = (depth - 2) // 2
+        source = (
+            "K0 = [ C ] D ;\n"
+            + "".join(f"K{i} = ( D | [ C ] K{i - 1} ) ;\n" for i in range(1, chain + 1))
+            + f"{nested(depth - 1, '[ B | C ]')} => "
+            + f"{'( D | ' * depth}B{' )' * depth} _ {'[ A ' * depth}{'] ' * depth}, _ K{chain} ;"
+        )
+        rule = expand_constants(parse_grammar(source)).rules[0]
+        alph = Alphabet(["A", "B", "C", "D"])
+        got = compile_rule(rule, alph).automaton
+        with mock.patch.object(grammar_module, "_compile_implication", marker_compile):
+            want = compile_rule(rule, alph).automaton
+        assert dump(got) == dump(want)
+        assert got.n_states > 1
 
 
 def compile_single(text, alphabet):
@@ -686,10 +705,11 @@ def test_property_compile_matches_marker_oracle(case, seed):
     assert dump(got) == dump(want), rule.name
 
 
-#: The states `determinize` returns over one build of the demo pipeline.
-#: Minimizing the marked violations before their markers are erased keeps
-#: the subset construction after erasure small: without it a build
-#: determinizes 2888 states.
+#: The states the two subset constructions of rule compilation,
+#: `pattern_dfa` and `erase_symbol`, return over one build of the demo
+#: pipeline.  Minimizing the marked violations before their markers are
+#: erased keeps the subset construction after erasure small: without it a
+#: build determinizes 2888 states.
 DEMO_BUILD_DETERMINIZED_STATES = 1825
 
 
@@ -697,13 +717,16 @@ def test_demo_build_determinized_states(
     monkeypatch, demo_lexicon, demo_map, demo_grammar, registry
 ):
     states = []
-    original = grammar_module.determinize
 
-    def counting(nfa):
-        dfa = original(nfa)
-        states.append(dfa.n_states)
-        return dfa
+    def counting(construction):
+        def counted(*args):
+            dfa = construction(*args)
+            states.append(dfa.n_states)
+            return dfa
 
-    monkeypatch.setattr(grammar_module, "determinize", counting)
+        return counted
+
+    for name in ("pattern_dfa", "erase_symbol"):
+        monkeypatch.setattr(grammar_module, name, counting(getattr(grammar_module, name)))
     Pipeline.build(demo_lexicon, demo_map, demo_grammar, registry)
     assert sum(states) == DEMO_BUILD_DETERMINIZED_STATES

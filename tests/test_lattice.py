@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fslat import data
-from fslat.automata import dump
 from fslat.engine import build_alphabet, decode_readings
 from fslat.lattice import (
     MapError,
@@ -19,7 +18,7 @@ from fslat.lattice import (
 )
 from fslat.lexicon import Cohort, Lexicon, MorphReading, tokenize
 
-from .util import closed_form_count, nfa_lattice
+from .util import closed_form_count, dump, nfa_lattice
 
 
 def make_lexicon(*entries):

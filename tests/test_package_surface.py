@@ -3,12 +3,15 @@
 The package is read with `ast`, not imported.  A function, class or
 module constant defined in `src/fslat/*.py` must be loaded by name
 somewhere in the package (its `__init__.py` re-exports do not count) or
-in `bench/harness.py`.  A name that only tests call belongs in
-`tests/util.py`; a name that nothing calls is deleted.
+in `bench/harness.py`, as a bare name or as an attribute of an fslat
+module.  A name that only tests call belongs in `tests/util.py`; a name
+that nothing calls is deleted.
 """
 
 import ast
 from pathlib import Path
+
+from .test_bench_surface import dotted, fslat_modules
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "fslat"
@@ -46,15 +49,21 @@ def defined_names():
 
 
 def loaded_names():
-    """Every bare name and attribute name read in the package modules
-    and the harness."""
+    """Every bare name read in the package modules and the harness, and
+    every name in an attribute chain they read on an fslat module, such
+    as `automata.intersect`.  An attribute read on anything else, such as
+    `json.dump`, counts for nothing."""
     loaded = set()
     for path in [*modules(), HARNESS]:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        fslat = fslat_modules(tree)
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 loaded.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                loaded.add(node.attr)
+                name = dotted(node, fslat)
+                if name:
+                    loaded.update(name.split(".")[1:])
     return loaded
 
 

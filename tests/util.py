@@ -6,15 +6,16 @@ import random
 
 from fslat.automata import (
     Alphabet,
+    Alt,
     Dfa,
-    Nfa,
+    Opt,
     Seq,
+    Star,
     Syms,
+    _canonical,
+    _search,
     complement,
-    determinize,
     difference,
-    erase_symbol,
-    from_pattern,
     intersect,
     is_empty,
     minimize,
@@ -37,6 +38,165 @@ def language_up_to(dfa, symbols, max_len):
 def language_equal(a, b):
     """Language equivalence via emptiness of the symmetric difference."""
     return is_empty(difference(a, b)) and is_empty(difference(b, a))
+
+
+def dump(dfa):
+    """Plain-text DFA dump: one `src TAB symbol TAB dst` line per symbol
+    transition ordered by (state id, symbol id, dst), then the final states
+    under a `final:` header.  The start state is always 0."""
+    alphabet = dfa.alphabet
+    rows = []
+    for src, edges in enumerate(dfa.transitions):
+        for label, dst in edges:
+            for sym in label:
+                rows.append((src, sym, dst, alphabet.text_of(sym)))
+    rows.sort(key=lambda r: (r[0], r[1], r[2]))
+    lines = [f"{src}\t{text}\t{dst}" for src, _, dst, text in rows]
+    lines.append("final:")
+    lines.extend(str(s) for s in sorted(dfa.finals))
+    return "\n".join(lines) + "\n"
+
+
+# NFAs with epsilon edges and their subset construction: the general
+# route from a pattern to a DFA, independent of `automata.pattern_dfa`
+# and `automata.erase_symbol`.  The oracles `nfa_lattice` and
+# `marker_compile` build through it.
+
+
+class Nfa:
+    """Nondeterministic automaton; edge labels are symbol-id frozensets,
+    or None for an epsilon edge.  Built by `from_pattern`,
+    `nfa_erase_symbol` and `nfa_lattice`, and read by `determinize` and
+    `nfa_accepts`."""
+
+    def __init__(self, alphabet):
+        self.alphabet = alphabet
+        self.transitions = []
+        self.start = 0
+        self.finals = set()
+
+    def add_state(self):
+        self.transitions.append([])
+        return len(self.transitions) - 1
+
+    def add_edge(self, src, label, dst):
+        self.transitions[src].append((label, dst))
+
+    @property
+    def n_states(self):
+        return len(self.transitions)
+
+
+def from_pattern(pat, alphabet):
+    """Thompson construction: an NFA accepting exactly the pattern's language.
+
+    Handles symbol sets, concatenation, union, star and option.
+    """
+    nfa = Nfa(alphabet)
+
+    def build(node):
+        if isinstance(node, Syms):
+            i, o = nfa.add_state(), nfa.add_state()
+            nfa.add_edge(i, node.ids, o)
+            return i, o
+        if isinstance(node, Seq):
+            if not node.parts:
+                i = nfa.add_state()
+                return i, i
+            first_in, prev_out = build(node.parts[0])
+            for part in node.parts[1:]:
+                i, o = build(part)
+                nfa.add_edge(prev_out, None, i)
+                prev_out = o
+            return first_in, prev_out
+        if isinstance(node, Alt):
+            i, o = nfa.add_state(), nfa.add_state()
+            if not node.parts:
+                return i, o  # empty union: empty language
+            for part in node.parts:
+                pi, po = build(part)
+                nfa.add_edge(i, None, pi)
+                nfa.add_edge(po, None, o)
+            return i, o
+        if isinstance(node, Star):
+            pi, po = build(node.inner)
+            i = nfa.add_state()
+            nfa.add_edge(i, None, pi)
+            nfa.add_edge(po, None, i)
+            return i, i
+        if isinstance(node, Opt):
+            pi, po = build(node.inner)
+            i, o = nfa.add_state(), nfa.add_state()
+            nfa.add_edge(i, None, pi)
+            nfa.add_edge(i, None, o)
+            nfa.add_edge(po, None, o)
+            return i, o
+        raise TypeError(f"not a pattern: {node!r}")
+
+    start, out = build(pat)
+    nfa.start = start
+    nfa.finals = {out}
+    return nfa
+
+
+def determinize(nfa):
+    """Subset construction; the result is deterministic, epsilon-free and
+    trimmed to states reachable from the start.  A subset's moves are
+    collected per symbol and symbols with the same target closure share
+    one edge, so the cost follows the symbols the labels hold: callers
+    that step wide classes pass an alphabet already grouped into blocks
+    (as `grammar.compile_rule` does)."""
+    n = nfa.n_states
+    eps = [[] for _ in range(n)]
+    sym_edges = [[] for _ in range(n)]
+    for src in range(n):
+        for label, dst in nfa.transitions[src]:
+            if label is None:
+                eps[src].append(dst)
+            elif label:
+                sym_edges[src].append((label, dst))
+
+    closures = {}  # move set -> its epsilon closure
+
+    def closure(states):
+        got = closures.get(states)
+        if got is None:
+            got = closures[states] = frozenset(_search(states, eps))
+        return got
+
+    def expand(subset):
+        moves = {}
+        for state in subset:
+            for label, dst in sym_edges[state]:
+                for sym in label:
+                    moves.setdefault(sym, set()).add(dst)
+        grouped = {}
+        for sym, dsts in moves.items():
+            grouped.setdefault(closure(frozenset(dsts)), []).append(sym)
+        edges = [(frozenset(syms), target) for target, syms in grouped.items()]
+        return not subset.isdisjoint(nfa.finals), edges
+
+    return _canonical(nfa.alphabet, closure(frozenset((nfa.start,))), expand)
+
+
+def nfa_erase_symbol(dfa, sym):
+    """NFA over the same alphabet accepting the input's language with every
+    occurrence of `sym` deleted (the edge becomes an epsilon edge)."""
+    nfa = Nfa(dfa.alphabet)
+    for _ in range(dfa.n_states):
+        nfa.add_state()
+    for src, edges in enumerate(dfa.transitions):
+        for label, dst in edges:
+            if sym in label:
+                nfa.add_edge(src, None, dst)
+                rest = label - {sym}
+                if rest:
+                    nfa.add_edge(src, rest, dst)
+            else:
+                nfa.add_edge(src, label, dst)
+    nfa.start = 0
+    nfa.finals = set(dfa.finals)
+    return nfa
 
 
 def nfa_accepts(nfa, syms):
@@ -223,6 +383,6 @@ def marker_compile(rule, alphabet):
         bad = intersect(bad, complement(licensed_dfa))
         if not bad.finals:  # `intersect` output is trim
             break
-    violating = determinize(erase_symbol(bad, mark))
+    violating = determinize(nfa_erase_symbol(bad, mark))
     violating = Dfa(alphabet, violating.transitions, violating.finals)
     return minimize(complement(violating))
