@@ -169,17 +169,19 @@ class Dfa:
     """Deterministic automaton.  State 0 is the start state; per-state edge
     labels are pairwise disjoint symbol-id sets sorted by smallest id.
 
-    Immutable once built, except for the per-symbol index behind `accepts`
-    and the product kernels, which is built on first use since most
-    automata are never stepped."""
+    Immutable once built, except for two caches filled on first use: the
+    per-symbol index behind `accepts` and the product kernels (most
+    automata are never stepped), and the trigger set (`trigger_symbols`),
+    which only a rule needs."""
 
-    __slots__ = ("alphabet", "transitions", "finals", "_index")
+    __slots__ = ("alphabet", "transitions", "finals", "_index", "_trigger")
 
     def __init__(self, alphabet, transitions, finals):
         self.alphabet = alphabet
         self.transitions = tuple(tuple(edges) for edges in transitions)
         self.finals = frozenset(finals)
         self._index = None
+        self._trigger = _UNKNOWN
 
     @property
     def n_states(self):
@@ -207,6 +209,77 @@ class Dfa:
             if state is None:
                 return False
         return state in self.finals
+
+    def trigger_symbols(self):
+        """The trigger set T: the DFA accepts every string that holds no
+        symbol of T.  So a language whose strings avoid T is contained in
+        this DFA's, and intersecting with it changes nothing.
+
+        Found by a fixpoint over a set `free` of symbols, from all of
+        Sigma: each round takes the final states reached from the start
+        through final states on `free` symbols, and keeps in `free` only
+        the symbols that every such state steps into a final state.  When
+        a round keeps all of `free`, the states reached are final, closed
+        under `free` and step all of it, so every string over `free` is
+        accepted; T is Sigma minus `free`.
+
+        None when the start is not final: the DFA rejects the empty string,
+        which holds no symbol, so no set of symbols is a trigger set.
+        Computed once and cached."""
+        trigger = self._trigger
+        if trigger is _UNKNOWN:
+            trigger = self._trigger = _trigger_symbols(self)
+        return trigger
+
+
+_UNKNOWN = object()  # a `Dfa._trigger` not yet computed
+
+
+def _trigger_symbols(dfa):
+    """`Dfa.trigger_symbols`, uncached."""
+    finals = dfa.finals
+    if 0 not in finals:
+        return None
+    sigma = dfa.alphabet.id_set()
+    transitions = dfa.transitions
+    free = sigma
+    while True:
+        kept = free
+        seen = {0}
+        stack = [0]
+        while stack and kept:
+            into_finals = set()
+            for label, dst in transitions[stack.pop()]:
+                if dst in finals:
+                    into_finals.update(label)
+                    if dst not in seen and not free.isdisjoint(label):
+                        seen.add(dst)
+                        stack.append(dst)
+            kept = kept.intersection(into_finals)
+        if kept == free:
+            return sigma - free
+        free = kept
+
+
+def expand_blocks(dfa, blocks, alphabet):
+    """`dfa`, over an alphabet whose symbol b stands for the block
+    `blocks[b]` of `alphabet`'s symbols, with each label expanded to the
+    union of its blocks.  The blocks must partition `alphabet`.
+
+    The trigger set is expanded from `dfa`'s the same way, which is much
+    cheaper than finding it over the wide labels: in the expanded DFA the
+    symbols of one block have the same edges in every state, so the
+    fixpoint of `Dfa.trigger_symbols` keeps or drops a block's symbols
+    together, round by round, as it keeps or drops the block."""
+
+    def expand(label):
+        return frozenset().union(*(blocks[b] for b in label))
+
+    transitions = [[(expand(label), dst) for label, dst in edges] for edges in dfa.transitions]
+    expanded = Dfa(alphabet, transitions, dfa.finals)
+    trigger = dfa.trigger_symbols()
+    expanded._trigger = None if trigger is None else expand(trigger)
+    return expanded
 
 
 def empty_dfa(alphabet):
@@ -648,6 +721,12 @@ class Chain:
     chain is minimal and trim but not canonically numbered; `dfa()`
     numbers it, once, at the end.
 
+    `symbols` holds every symbol on the chain's edges (it may hold more,
+    never fewer), collected by the walk as it creates classes.  A step
+    whose rule has a trigger set (`Dfa.trigger_symbols`) and none of its
+    symbols among them is skipped: every string of the chain avoids the
+    trigger set, so the rule accepts it.
+
     `Chain(dfa)` reduces, trims and counts an acyclic DFA by the walk a
     step runs, against a one-state Sigma* DFA.  Raises
     InfiniteLanguageError if the walk meets a cycle.
@@ -660,7 +739,7 @@ class Chain:
     branching pairs more than the symbols.
     """
 
-    __slots__ = ("alphabet", "transitions", "finals", "start", "count")
+    __slots__ = ("alphabet", "transitions", "finals", "start", "count", "symbols")
 
     def __init__(self, dfa):
         alphabet = dfa.alphabet
@@ -669,17 +748,21 @@ class Chain:
 
     def _settle(self, alphabet, walked):
         self.alphabet = alphabet
-        self.transitions, self.finals, self.start, self.count = walked
+        self.transitions, self.finals, self.start, self.count, self.symbols = walked
         return self
 
     def intersect(self, b):
         """`(chain, count)` for L(self) & L(b).  When L(self) is contained
         in L(b), that is this chain itself and its count; otherwise one
-        register walk over the product (`_register_product`).  Raises
+        register walk over the product (`_register_product`).  Containment
+        is settled without a walk when `b` has a trigger set and no symbol
+        of the chain is in it, since `b` accepts every string that avoids
+        it, and by a containment walk (`_contained`) otherwise.  Raises
         InfiniteLanguageError if the walk meets a cycle."""
         if b.alphabet is not self.alphabet:
             raise AlphabetMismatchError("intersect requires a shared alphabet")
-        if _contained(self, b):
+        trigger = b.trigger_symbols()
+        if (trigger is not None and self.symbols.isdisjoint(trigger)) or _contained(self, b):
             return self, self.count
         walked = _register_product(self, self.start, b)
         chain = Chain.__new__(Chain)._settle(self.alphabet, walked)
@@ -726,8 +809,10 @@ def _contained(chain, b):
 
 
 def _register_product(a, start, b):
-    """`(transitions, finals, start, count)` of the chain of L(a) & L(b),
-    for `a` a DFA or chain entered at state `start`, in one product walk.
+    """`(transitions, finals, start, count, symbols)` of the chain of
+    L(a) & L(b), for `a` a DFA or chain entered at state `start`, in one
+    product walk.  `symbols` is the union of the labels of the classes the
+    walk creates.
 
     Product pairs are walked depth-first with an explicit stack.  A pair is
     settled once all its successors are: edges into dead pairs are dropped,
@@ -773,6 +858,7 @@ def _register_product(a, start, b):
     transitions = []  # merged edges of each class, by class id
     finals = set()
     counts = []  # accepted strings from each class, by class id
+    symbols = set()  # every symbol on the new classes' edges
     stack = []  # frames (pair key, sa, sb, product edges, their iterator, run into pair)
     key, sa, sb = root, start, 0  # a newly reached pair, marked on_stack, to be entered
     while True:
@@ -849,6 +935,7 @@ def _register_product(a, start, b):
                     count = 1 if final else 0
                     for d, label in merged.items():
                         count += len(label) * counts[d]
+                        symbols |= label
                     counts.append(count)
                     if final:
                         finals.add(c)
@@ -864,12 +951,13 @@ def _register_product(a, start, b):
                     got = unary[u] = len(transitions)
                     counts.append(len(label) * counts[c])
                     transitions.append([(label, c)])
+                    symbols |= label
                 c = got
             cls[p] = c
     start = cls[root]
     if start < 0:  # nothing survives: one non-accepting class, as empty_dfa
-        return [[]], frozenset(), 0, 0
-    return transitions, finals, start, counts[start]
+        return [[]], frozenset(), 0, 0, frozenset()
+    return transitions, finals, start, counts[start], symbols
 
 
 def is_empty(dfa):

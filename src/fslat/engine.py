@@ -85,23 +85,27 @@ class ParseResult:
     diagnosis: tuple  # rule names, only when status == "empty"
 
 
-def apply_grammar(lattice, rules):
+def apply_grammar(lattice, rules, start=None):
     """Intersect the lattice with every rule, in the given order.  Returns
     the surviving lattice and a trace of per-rule reading counts and
     timings; the surviving set does not depend on the order.
 
     The rules are folded over one `automata.Chain`, which starts as the
-    lattice reduced and counted.  A step builds the minimal automaton of
-    the product and its path count in a single walk, or, when the rule
-    accepts everything that is left, costs only a containment check and
-    returns the chain as it was.  States are numbered once, for the
+    lattice reduced and counted (`start`, built here when not given).  A
+    step builds the minimal automaton of the product and its path count
+    in a single walk, or, when the rule accepts everything that is left,
+    returns the chain as it was.  That costs a containment walk, or
+    nothing when no reading left holds a symbol of the rule's trigger set
+    (`Dfa.trigger_symbols`): the rules only discard readings, and a rule
+    can discard only a reading that holds its target, so it accepts every
+    string without a trigger symbol.  States are numbered once, for the
     surviving automaton; with no rules that is the reduced lattice.
     """
     for rule in rules:
         if rule.automaton.alphabet is not lattice.automaton.alphabet:
             raise RuleAlphabetError(rule.name)
 
-    chain = Chain(lattice.automaton)
+    chain = Chain(lattice.automaton) if start is None else start
     before = chain.count
     steps = []
     for rule in rules:
@@ -123,7 +127,7 @@ def _survives(chain, rules):
     return True
 
 
-def diagnose_empty(lattice, rules):
+def diagnose_empty(lattice, rules, start=None):
     """Explain a total rejection.
 
     Returns every rule whose removal alone makes the intersection
@@ -134,9 +138,11 @@ def diagnose_empty(lattice, rules):
     One chain walks the applied order and keeps each prefix's chain until
     rule k empties it.  Only rules 0..k can be culprits, since rules 0..k
     alone already leave nothing; leaving out rule i resumes from the
-    chain of the rules before it.
+    chain of the rules before it.  `start` is the lattice's chain, as
+    `apply_grammar` takes it; it is built here when not given.
     """
-    start = Chain(lattice.automaton)
+    if start is None:
+        start = Chain(lattice.automaton)
     if not start.count:
         return ()
     rules = tuple(rules)
@@ -257,11 +263,13 @@ class Pipeline:
         return build_lattice(self.cohorts_for(tokens), self.registry, self.alphabet)
 
     def parse_sentence(self, tokens, limit=16):
-        """lookup -> map -> lattice -> grammar -> decode."""
+        """lookup -> map -> lattice -> grammar -> decode, or the diagnosis
+        of a total rejection, which starts from the same lattice chain."""
         lattice = self.lattice_for(tokens)
-        survived, trace = apply_grammar(lattice, self.rules)
+        start = Chain(lattice.automaton)
+        survived, trace = apply_grammar(lattice, self.rules, start)
         if trace.final == 0:
-            diagnosis = diagnose_empty(lattice, self.rules)
+            diagnosis = diagnose_empty(lattice, self.rules, start)
             return ParseResult(survived, (), trace, "empty", diagnosis)
         readings = decode_readings(survived, limit)
         return ParseResult(survived, readings, trace, "ok", ())

@@ -42,6 +42,7 @@ from .automata import (
     complement,
     difference,
     erase_symbol,
+    expand_blocks,
     minimize,
     nullable,
     pattern_dfa,
@@ -525,7 +526,9 @@ def compile_rule(rule, alphabet):
     two minimal DFAs have the same states and edges, and since block
     numbers follow smallest symbols, sorting a state's edges by smallest
     block sorts them by smallest symbol, so breadth-first numbering gives
-    the same states the same numbers.
+    the same states the same numbers.  The rule's trigger set
+    (`Dfa.trigger_symbols`) is found over the block DFA and expanded the
+    same way (`expand_blocks`), so a build pays for it once per rule.
     """
     resolved = resolve_rule(rule, alphabet)
     blocks, atom_blocks = rule_blocks(resolved, alphabet)
@@ -540,11 +543,7 @@ def compile_rule(rule, alphabet):
         block_dfa = _compile_reject(block_rule, block_alphabet)
     else:
         block_dfa = _compile_implication(block_rule, block_alphabet)
-    transitions = [
-        [(frozenset().union(*(blocks[b] for b in label)), dst) for label, dst in edges]
-        for edges in block_dfa.transitions
-    ]
-    return CompiledRule(rule.name, Dfa(alphabet, transitions, block_dfa.finals))
+    return CompiledRule(rule.name, expand_blocks(block_dfa, blocks, alphabet))
 
 
 def _compile_reject(rule, alphabet):

@@ -347,6 +347,9 @@ def test_acceptance_7_kernel_invariants():
     rng = random.Random(0xACCE07)
     alphabet = Alphabet(["A", "B", "C"])
     syms = tuple(alphabet.id_of(t) for t in "ABC")
+    # `random_dfa` steps the boundary symbols too: compare every string
+    # over all eight symbols as well, to a shorter length
+    strings = (*exhaustive_strings(syms, 5), *exhaustive_strings(sorted(alphabet.id_set()), 3))
 
     for _ in range(500):
         d = random_dfa(rng, alphabet, max_states=8)
@@ -360,13 +363,13 @@ def test_acceptance_7_kernel_invariants():
     for _ in range(500):
         d = random_dfa(rng, alphabet, max_states=8)
         m = minimize(d)
-        for w in exhaustive_strings(syms, 5):
+        for w in strings:
             assert d.accepts(w) == m.accepts(w)
 
     for _ in range(500):
         d = random_dfa(rng, alphabet, max_states=8)
         d2 = erase_symbol(d, len(alphabet))  # an id no label holds
-        for w in exhaustive_strings(syms, 5):
+        for w in strings:
             assert d.accepts(w) == d2.accepts(w)
 
     counted = 0

@@ -21,6 +21,7 @@ from fslat.automata import (
     empty_dfa,
     enumerate_strings,
     erase_symbol,
+    expand_blocks,
     intersect,
     is_empty,
     minimize,
@@ -402,8 +403,9 @@ class TestRunLabels:
         n = 100_000
         run = Dfa(alph, [((a | b, i + 1),) for i in range(n)] + [()], (n,))
         a_star = Dfa(alph, [((a, 0),)], (0,))
-        transitions, finals, start, count = _register_product(run, 0, a_star)
+        transitions, finals, start, count, symbols = _register_product(run, 0, a_star)
         assert count == 1  # every label narrowed to {A}
+        assert symbols == a
         assert len(transitions) == n + 1
         assert transitions[start] == [(a, start - 1)]
         dead_end = Chain(Dfa(alph, [((a | b, i + 1),) for i in range(n)] + [()], ()))
@@ -472,6 +474,50 @@ class TestChain:
         other = Alphabet(["A", "B"])
         with pytest.raises(AlphabetMismatchError):
             self._stepped(abc).intersect(sigma_star(other))
+
+
+class TestTriggerSymbols:
+    """`Dfa.trigger_symbols`: the DFA accepts every string with no symbol
+    of the set; None when it rejects the empty string."""
+
+    def test_sigma_star_has_none(self, abc):
+        assert sigma_star(abc).trigger_symbols() == frozenset()
+
+    def test_rejecting_the_empty_string_has_no_trigger_set(self, abc):
+        assert empty_dfa(abc).trigger_symbols() is None
+        assert pattern_dfa(lit(abc, "A"), abc).trigger_symbols() is None
+
+    def test_only_the_empty_string_triggers_on_every_symbol(self, abc):
+        assert Dfa(abc, [()], (0,)).trigger_symbols() == abc.id_set()
+
+    def test_reject_rule_triggers_on_the_symbol_that_completes_it(self, abc):
+        # ! A B: after A, only B leaves the language; A and every other
+        # symbol return to an accepting state
+        anything = Star(Syms(abc.id_set()))
+        ab = Seq((anything, lit(abc, "A"), lit(abc, "B"), anything))
+        rule = minimize(complement(pattern_dfa(ab, abc)))
+        assert rule.trigger_symbols() == frozenset(ids(abc, "B"))
+
+    def test_free_symbol_into_a_state_that_rejects_is_dropped(self, abc):
+        # A leads to an accepting state that steps only C, so only C is free
+        sigma = abc.id_set()
+        a, b, c = (frozenset(ids(abc, t)) for t in "ABC")
+        rule = Dfa(abc, [((sigma - a, 0), (a, 1)), ((c, 0),)], (0, 1))
+        assert rule.trigger_symbols() == sigma - c
+
+    def test_expand_blocks_expands_the_trigger_set(self, abc):
+        # abc's ten symbols in seven blocks: the five boundary symbols, then
+        # {A, B} as block 5 and {C, V, VFIN} as block 6
+        blocks = tuple(frozenset((s,)) for s in range(5))
+        blocks += (frozenset(ids(abc, "A", "B")), frozenset(ids(abc, "C", "V", "VFIN")))
+        block_alph = Alphabet(["b5", "b6"])
+        rest = block_alph.id_set() - {6}
+        block_dfa = Dfa(block_alph, [((rest, 0), (frozenset((6,)), 1)), ((frozenset((5,)), 0),)], (0, 1))
+        assert block_dfa.trigger_symbols() == block_alph.id_set() - {5}
+        expanded = expand_blocks(block_dfa, blocks, abc)
+        fresh = Dfa(abc, expanded.transitions, expanded.finals)
+        assert expanded.trigger_symbols() == fresh.trigger_symbols()
+        assert expanded.trigger_symbols() == abc.id_set() - set(ids(abc, "A", "B"))
 
 
 class TestIsEmpty:
@@ -951,6 +997,48 @@ def test_property_chain_fold_is_reduced_product_fold(a, rules):
 )
 def test_property_chain_runs_fold_is_reduced_product_fold(a, rules):
     _assert_chain_fold_is_reduced_product_fold(a, rules)
+
+
+_ABC = Alphabet(["A", "B", "C"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.randoms(use_true_random=False),
+    st.sampled_from((0.7, 0.9, 1.0)),
+    st.sampled_from((0.4, 0.8, 1.0)),
+)
+def test_property_trigger_symbols_leave_every_free_string_accepted(rng, density, final_p):
+    # `random_dfa` steps the boundary symbols too, so all eight are checked
+    d = random_dfa(rng, _ABC, max_states=4, density=density, final_p=final_p)
+    trigger = d.trigger_symbols()
+    if 0 not in d.finals:
+        assert trigger is None
+        return
+    stepped = {sym for edges in d.transitions for label, _ in edges for sym in label}
+    free = sorted(stepped - trigger)
+    for w in exhaustive_strings(free, 4):
+        assert d.accepts(w), (free, w)
+
+
+def _label_union(transitions):
+    return frozenset().union(*(label for edges in transitions for label, _ in edges))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lattices(),
+    st.lists(dfas(alphabet=_WIDE_ALPHABET, syms=_RUN_SYMS), min_size=1, max_size=5),
+)
+def test_property_chain_symbols_are_its_labels(a, rules):
+    chain = Chain(a)
+    for rule in [sigma_star(_WIDE_ALPHABET), *rules]:
+        assert chain.symbols == _label_union(chain.transitions)
+        assert chain.symbols >= _label_union(chain.dfa().transitions)
+        chain, count = chain.intersect(rule)
+        if not count:
+            assert chain.symbols == frozenset()
+    assert chain.symbols == _label_union(chain.transitions)
 
 
 _WIDER_ALPHABET = Alphabet([f"V{i}" for i in range(32)])

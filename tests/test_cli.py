@@ -1,9 +1,11 @@
+import gc
 import hashlib
 import io
 import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -558,6 +560,30 @@ class FlushRecorder(io.StringIO):
         self.flushed.append(self.getvalue())
 
 
+class HeapRecorder:
+    """A writer that drops what is written and counts its flushes, one per
+    sentence.  At the flushes numbered in `at` it records the heap that
+    `tracemalloc` traces, after a full collection.  Tracing starts at the
+    first of them, since it makes a sentence about ten times slower: what
+    a later sentence leaves behind is traced all the same."""
+
+    def __init__(self, at):
+        self.at = at
+        self.flushes = 0
+        self.heap = {}
+
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        self.flushes += 1
+        if self.flushes in self.at:
+            gc.collect()
+            if not tracemalloc.is_tracing():
+                tracemalloc.start()
+            self.heap[self.flushes] = tracemalloc.get_traced_memory()[0]
+
+
 class TestStreaming:
     def test_flushed_after_each_sentence(self, resources, tmp_path):
         text = "I see a bird.\nWhat are you talking about?\nHenry dislikes her leaving so early.\n"
@@ -583,6 +609,23 @@ class TestStreaming:
         config = parse_config(resources, [], jobs=jobs)
         assert run_parse(config, out=out, err=io.StringIO()) == EXIT_OK
         assert flushes_before_read == [0, 1]
+
+    def test_heap_stays_flat_over_many_sentences(self, resources, monkeypatch):
+        # nothing a sentence leaves behind may pile up: the heap after the
+        # last of 196 sentences is within a fixed slack of the heap after
+        # the first quarter of them
+        short = [line for line in data.read("sample_sentences.txt").splitlines()
+                 if len(line.split()) <= 12]
+        assert len(short) == 7
+        n = 28 * len(short)
+        monkeypatch.setattr(sys, "stdin", iter([f"{short[i % 7]}\n" for i in range(n)]))
+        out = HeapRecorder(at={n // 4, n})
+        try:
+            assert run_parse(parse_config(resources, []), out=out, err=io.StringIO()) == EXIT_OK
+        finally:
+            tracemalloc.stop()
+        assert out.flushes == n
+        assert out.heap[n] <= out.heap[n // 4] + 64 * 1024, out.heap
 
     def test_closed_stdout_is_exit_one_without_traceback(self, resources):
         argv = [sys.executable, "-m", "fslat.cli", "parse"]

@@ -5,8 +5,16 @@ from dataclasses import replace
 
 import pytest
 
-from fslat import automata
-from fslat.automata import enumerate_strings, is_empty, reduce_acyclic
+from fslat import automata, engine
+from fslat.automata import (
+    Chain,
+    Dfa,
+    count_paths,
+    enumerate_strings,
+    intersect,
+    is_empty,
+    reduce_acyclic,
+)
 from fslat.engine import (
     Pipeline,
     RuleAlphabetError,
@@ -31,6 +39,7 @@ from fslat.lattice import (
 )
 from fslat.lexicon import Cohort, Entry, Lexicon, MorphReading, tokenize
 
+from .test_acceptance import _random_pipeline
 from .util import language_equal
 
 
@@ -298,6 +307,26 @@ class TestDiagnoseEmpty:
         with pytest.raises(ValueError):
             diagnose_empty(lattice, pipe.rules)
 
+    def test_rejection_builds_the_start_chain_once(
+        self, demo_lexicon, demo_map, registry, monkeypatch
+    ):
+        from fslat import data
+
+        extra = "! @@ WORD ;"
+        grammar = parse_grammar(data.read("demo.fsg") + "\n" + extra + "\n")
+        pipe = Pipeline.build(demo_lexicon, demo_map, grammar, registry)
+        sentence, culprits = _PINNED_CULPRITS[extra][0]
+        built = []
+
+        def counted(dfa):
+            built.append(dfa)
+            return Chain(dfa)
+
+        monkeypatch.setattr(engine, "Chain", counted)
+        result = pipe.parse_sentence(tokenize(sentence))
+        assert (result.status, result.diagnosis) == ("empty", culprits)
+        assert len(built) == 1
+
     @pytest.mark.parametrize("extra", sorted(_PINNED_CULPRITS))
     def test_demo_culprits_pinned(self, demo_lexicon, demo_map, registry, extra):
         from fslat import data
@@ -311,6 +340,94 @@ class TestDiagnoseEmpty:
                     diagnose_empty(lattice, pipe.rules)
             else:
                 assert diagnose_empty(lattice, pipe.rules) == culprits, sentence
+
+
+def _short_sentences():
+    from fslat import data
+
+    lines = data.read("sample_sentences.txt").splitlines()
+    return [line for line in lines if len(tokenize(line)) <= 12]
+
+
+def _with_skips(monkeypatch):
+    """Make every `Chain.intersect` record whether it was skipped: answered
+    with neither a containment walk nor a product walk."""
+    walks = []
+    skipped = []
+    contained = automata._contained
+    intersect_chain = Chain.intersect
+
+    def walked(chain, b):
+        walks.append(1)
+        return contained(chain, b)
+
+    def recorded(chain, b):
+        before = len(walks)
+        got, count = intersect_chain(chain, b)
+        skipped.append(len(walks) == before and got is chain)
+        return got, count
+
+    monkeypatch.setattr(automata, "_contained", walked)
+    monkeypatch.setattr(Chain, "intersect", recorded)
+    return skipped
+
+
+def _label_fixpoint(dfa):
+    """`dfa`'s trigger set found over its own labels, not expanded from
+    its rule's blocks."""
+    return Dfa(dfa.alphabet, dfa.transitions, dfa.finals).trigger_symbols()
+
+
+class TestTriggerSkip:
+    """A rule accepts every string with no symbol of its trigger set, so a
+    step over a chain that holds none of them is skipped."""
+
+    def test_demo_rules_trigger_on_one_to_three_symbols(self, demo_pipeline):
+        for rule in demo_pipeline.rules:
+            trigger = rule.automaton.trigger_symbols()
+            assert 1 <= len(trigger) <= 3, rule.name
+            assert _label_fixpoint(rule.automaton) == trigger, rule.name
+
+    def test_demo_short_sentences_skip_steps_that_cut_nothing(
+        self, demo_pipeline, monkeypatch
+    ):
+        skipped = _with_skips(monkeypatch)
+        total = 0
+        sentences = _short_sentences()
+        assert len(sentences) == 7
+        for text in sentences:
+            skipped.clear()
+            _, trace = apply_grammar(demo_pipeline.lattice_for(tokenize(text)), demo_pipeline.rules)
+            assert len(skipped) == len(trace.steps) == 48
+            for step, skip in zip(trace.steps, skipped):
+                if skip:
+                    assert step.before == step.after, (text, step.rule)
+            total += sum(skipped)
+        assert total >= 120
+
+    def test_skipping_fold_is_the_product_fold_on_random_pipelines(self):
+        rng = random.Random(0x5C1B)
+        skips = 0
+        for _ in range(60):
+            pipeline = _random_pipeline(rng)
+            tokens = [f"w{rng.randrange(6)}" for _ in range(rng.randint(1, 6))]
+            lattice = pipeline.lattice_for(tokens)
+            survived, trace = apply_grammar(lattice, pipeline.rules)
+            chain = Chain(lattice.automaton)
+            want = reduce_acyclic(lattice.automaton)
+            before = count_paths(want)
+            for rule, step in zip(pipeline.rules, trace.steps):
+                trigger = rule.automaton.trigger_symbols()
+                assert _label_fixpoint(rule.automaton) == trigger
+                skips += trigger is not None and chain.symbols.isdisjoint(trigger)
+                chain, _ = chain.intersect(rule.automaton)
+                want = reduce_acyclic(intersect(want, rule.automaton))
+                assert (step.before, step.after) == (before, count_paths(want))
+                before = step.after
+            assert (survived.automaton.transitions, survived.automaton.finals) == (
+                want.transitions, want.finals,
+            )
+        assert skips >= 50
 
 
 class TestDecodeReadings:
