@@ -3,8 +3,9 @@
 Transitions carry symbol *sets*, not single symbols, so that transitions
 labelled with a large symbol class stay compact even when the alphabet has
 hundreds of symbols.  Automata are immutable once built (a `Dfa` only
-fills in its symbol index on first use); every constructor function
-returns a fresh object.
+fills in two caches on first use, and carries a mark of being trim that
+its builder sets); every constructor function returns a fresh object,
+except that `trim` returns a DFA already marked trim as it is.
 
 A DFA's start state is always state 0 and its states are numbered in
 breadth-first discovery order with per-state edges sorted by smallest
@@ -169,12 +170,18 @@ class Dfa:
     """Deterministic automaton.  State 0 is the start state; per-state edge
     labels are pairwise disjoint symbol-id sets sorted by smallest id.
 
-    Immutable once built, except for two caches filled on first use: the
-    per-symbol index behind `accepts` and the product kernels (most
-    automata are never stepped), and the trigger set (`trigger_symbols`),
-    which only a rule needs."""
+    Immutable once built, with three exceptions.  Two are caches filled
+    on first use: the per-symbol index behind `accepts` and the product
+    kernels (`_index`; most automata are never stepped), and the trigger
+    set (`_trigger`, see `trigger_symbols`), which only a rule needs.  The
+    third is a mark set where the DFA is built: `_trimmed` is true when
+    the builder (`trim`, `minimize`, `complement`, `difference` or
+    `intersect`) knows the DFA to be trim and canonically numbered, so
+    `trim` returns it as it is.  A DFA built any other way, by hand or by
+    `pattern_dfa`, `erase_symbol` or `expand_blocks`, is left unmarked,
+    and `trim` trims it."""
 
-    __slots__ = ("alphabet", "transitions", "finals", "_index", "_trigger")
+    __slots__ = ("alphabet", "transitions", "finals", "_index", "_trigger", "_trimmed")
 
     def __init__(self, alphabet, transitions, finals):
         self.alphabet = alphabet
@@ -182,6 +189,7 @@ class Dfa:
         self.finals = frozenset(finals)
         self._index = None
         self._trigger = _UNKNOWN
+        self._trimmed = False
 
     @property
     def n_states(self):
@@ -270,10 +278,16 @@ def expand_blocks(dfa, blocks, alphabet):
     cheaper than finding it over the wide labels: in the expanded DFA the
     symbols of one block have the same edges in every state, so the
     fixpoint of `Dfa.trigger_symbols` keeps or drops a block's symbols
-    together, round by round, as it keeps or drops the block."""
+    together, round by round, as it keeps or drops the block.  Each
+    distinct label is expanded once."""
+
+    expanded_labels = {}  # block label -> its union of blocks
 
     def expand(label):
-        return frozenset().union(*(blocks[b] for b in label))
+        got = expanded_labels.get(label)
+        if got is None:
+            got = expanded_labels[label] = frozenset().union(*(blocks[b] for b in label))
+        return got
 
     transitions = [[(expand(label), dst) for label, dst in edges] for edges in dfa.transitions]
     expanded = Dfa(alphabet, transitions, dfa.finals)
@@ -367,7 +381,8 @@ def pattern_dfa(pat, alphabet):
     follows p and whose symbol set holds the next symbol.  The start is the
     pseudo-position -1, which is followed by the first positions and is
     accepting iff the pattern is nullable; a set of positions is accepting
-    iff it holds a last position.
+    iff it holds a last position.  A subset's edges depend only on the
+    union of its positions' follow sets, so they are found once per union.
     """
     labels = []  # the symbol set of each position
     follow = []  # the positions that may come right after each position
@@ -412,10 +427,14 @@ def pattern_dfa(pat, alphabet):
     if null:
         last = last | {-1}
 
+    reached = {}  # union of follow sets -> its subset edges
+
     def expand(subset):
-        reach = set().union(*(follow[p] for p in subset))
-        edges = _subset_edges(((labels[q], q) for q in reach), frozenset)
-        return not last.isdisjoint(subset), edges
+        reach = frozenset().union(*(follow[p] for p in subset))
+        edges = reached.get(reach)
+        if edges is None:
+            edges = reached[reach] = _subset_edges(((labels[q], q) for q in reach), frozenset)
+        return not last.isdisjoint(subset), list(edges)  # `_canonical` sorts it in place
 
     return _canonical(alphabet, frozenset((-1,)), expand)
 
@@ -450,9 +469,9 @@ def erase_symbol(dfa, sym):
 def _search(starts, successors):
     """The set of states reached from `starts` along `successors`, which
     lists each state's next states, depth-first with an explicit stack.
-    The one graph search: `_useful` runs it over `_predecessors`, and
-    `erase_symbol` over the erased symbol's edges for its memoized
-    closures."""
+    The one graph search: `_useful` and `_trim_product` run it over
+    `_predecessors`, and `erase_symbol` over the erased symbol's edges for
+    its memoized closures."""
     seen = set(starts)
     stack = list(seen)
     while stack:
@@ -478,12 +497,13 @@ def _reachable(dfa):
     return seen
 
 
-def _predecessors(dfa):
-    """Per state, the states with an edge into it (an edge with an empty
-    label steps no symbol and is left out).  The one predecessor table:
-    `_useful` and `enumerate_strings` read it."""
-    preds = [[] for _ in range(dfa.n_states)]
-    for src, edges in enumerate(dfa.transitions):
+def _predecessors(transitions):
+    """Per state of `transitions`, the states with an edge into it (an
+    edge with an empty label steps no symbol and is left out).  The one
+    predecessor table: `_useful`, `_trim_product` and `enumerate_strings`
+    read it."""
+    preds = [[] for _ in transitions]
+    for src, edges in enumerate(transitions):
         for label, dst in edges:
             if label:
                 preds[dst].append(src)
@@ -492,7 +512,7 @@ def _predecessors(dfa):
 
 def _useful(dfa):
     """The states on some path from the start to a final state."""
-    return _reachable(dfa) & _search(dfa.finals, _predecessors(dfa))
+    return _reachable(dfa) & _search(dfa.finals, _predecessors(dfa.transitions))
 
 
 def _topological(dfa, states):
@@ -519,13 +539,22 @@ def _topological(dfa, states):
     return order if len(order) == len(indeg) else None
 
 
+def _mark_trimmed(dfa):
+    """`dfa`, marked trim and canonically numbered (`Dfa._trimmed`)."""
+    dfa._trimmed = True
+    return dfa
+
+
 def trim(dfa):
     """Drop states that are unreachable or cannot reach a final state, and
     renumber the rest in BFS order.  The empty language canonicalizes to a
-    single non-accepting start state."""
+    single non-accepting start state.  The result is marked trim, and a
+    DFA already marked so is returned as it is."""
+    if dfa._trimmed:
+        return dfa
     useful = _useful(dfa)
     if 0 not in useful:
-        return empty_dfa(dfa.alphabet)
+        return _mark_trimmed(empty_dfa(dfa.alphabet))
     transitions = dfa.transitions
     finals = dfa.finals
 
@@ -536,33 +565,36 @@ def trim(dfa):
                 edges.append((label, dst))
         return state in finals, edges
 
-    return _canonical(dfa.alphabet, 0, expand)
+    return _mark_trimmed(_canonical(dfa.alphabet, 0, expand))
 
 
 def minimize(dfa):
-    """Partition refinement (Moore) over the symbols the trimmed DFA uses;
-    the result is the canonical minimal partial DFA for the language.  Each
+    """Partition refinement (Moore) over the trimmed DFA; the result is the
+    canonical minimal partial DFA for the language, marked trim.  Each
     round splits the previous round's classes by the class each symbol
-    leads to, so the cost follows the symbol count: callers that step wide
-    classes pass an alphabet already grouped into blocks (as
-    `grammar.compile_rule` does)."""
+    leads to.  Two symbols that every state sends to the same target (or
+    neither steps) split nothing the other does not, so the rounds run
+    over the distinct columns of targets, one per such group of symbols.
+    Finding the columns still takes one pass per symbol the labels hold:
+    callers that step wide classes pass an alphabet already grouped into
+    blocks (as `grammar.compile_rule` does)."""
     d = trim(dfa)
     if not d.finals:
         return d
     index = d._symbol_index()
-    syms = sorted({sym for row in index for sym in row})
-    cls = [1 if s in d.finals else 0 for s in range(d.n_states)]
+    n = d.n_states
+    syms = {sym for row in index for sym in row}
+    # a column lists each state's target on one symbol, `n` for none
+    columns = {tuple([row.get(sym, n) for row in index]) for sym in syms}
+    cls = [1 if s in d.finals else 0 for s in range(n)]
     ncls = len(set(cls))
     while True:
+        ext = [*cls, -1]  # class of each target, -1 for no edge
         sigs = {}
-        new_cls = []
-        for s, row in enumerate(index):
-            sig = (cls[s], tuple([cls[row[sym]] if sym in row else None for sym in syms]))
-            idx = sigs.get(sig)
-            if idx is None:
-                idx = sigs[sig] = len(sigs)
-            new_cls.append(idx)
-        cls = new_cls
+        cls = [
+            sigs.setdefault(sig, len(sigs))
+            for sig in zip(cls, *[map(ext.__getitem__, column) for column in columns])
+        ]
         if len(sigs) == ncls:
             break
         ncls = len(sigs)
@@ -577,7 +609,7 @@ def minimize(dfa):
         rep = reps[c]
         return rep in d.finals, _merge_by_class(d.transitions[rep], cls)
 
-    return _canonical(d.alphabet, cls[0], expand)
+    return _mark_trimmed(_canonical(d.alphabet, cls[0], expand))
 
 
 def reduce_acyclic(dfa):
@@ -607,7 +639,7 @@ def reduce_acyclic(dfa):
 
 def complement(dfa):
     """Accepts exactly Sigma* minus the input's language, over its own
-    alphabet."""
+    alphabet; trimmed, and so marked trim."""
     alphabet = dfa.alphabet
     sigma = alphabet.id_set()
     n = dfa.n_states
@@ -668,25 +700,63 @@ def _product_edges(a, b):
     return edges
 
 
+def _trim_product(alphabet, expand):
+    """The trim product DFA, marked so.  `expand(pair)` returns
+    `(is_final, edges)` for a pair of states, `edges` a dict from target
+    pair to a non-empty label; the start pair is `(0, 0)`.
+
+    The one way a product gets its numbers.  The reachable pairs are
+    listed once, in a plain dict, the useful ones are found by a search
+    (`_search`) back from the final pairs over a predecessor table, and
+    only those are numbered, through `_canonical`: that gives the same
+    DFA as numbering every reachable pair and trimming the result."""
+    start = (0, 0)
+    index = {start: 0}
+    pairs = [start]
+    out = []  # (label, target number) edges of each pair, by number
+    finals = set()
+    for i, pair in enumerate(pairs):  # `pairs` grows while it is walked
+        final, by_target = expand(pair)
+        if final:
+            finals.add(i)
+        edges = []
+        for target, label in by_target.items():
+            j = index.get(target)
+            if j is None:
+                j = index[target] = len(pairs)
+                pairs.append(target)
+            edges.append((label, j))
+        out.append(edges)
+    useful = _search(finals, _predecessors(out))
+    if 0 not in useful:
+        return _mark_trimmed(empty_dfa(alphabet))
+
+    def expand_useful(i):
+        return i in finals, [(label, j) for label, j in out[i] if j in useful]
+
+    return _mark_trimmed(_canonical(alphabet, 0, expand_useful))
+
+
 def intersect(a, b):
-    """Product construction; accepts L(a) & L(b), trimmed to useful states."""
+    """Product construction; accepts L(a) & L(b), trimmed to useful states
+    and marked trim (`_trim_product`)."""
     product = _product_edges(a, b)
     a_finals = a.finals
     b_finals = b.finals
 
     def expand(pair):
         sa, sb = pair
-        edges = [(label, target) for target, label in product(sa, sb).items()]
-        return sa in a_finals and sb in b_finals, edges
+        return sa in a_finals and sb in b_finals, product(sa, sb)
 
-    return trim(_canonical(a.alphabet, (0, 0), expand))
+    return _trim_product(a.alphabet, expand)
 
 
 def difference(a, b):
-    """Product construction; accepts L(a) - L(b), trimmed to useful states.
-    A symbol that `b` cannot step leaves `b` for good: the pair's second
-    state becomes None, and from there only `a` is followed.  One product
-    in place of `intersect(a, complement(b))`, with the same result."""
+    """Product construction; accepts L(a) - L(b), trimmed to useful states
+    and marked trim (`_trim_product`).  A symbol that `b` cannot step
+    leaves `b` for good: the pair's second state becomes None, and from
+    there only `a` is followed.  One product in place of
+    `intersect(a, complement(b))`, with the same result."""
     product = _product_edges(a, b)
     a_transitions = a.transitions
     a_finals = a.finals
@@ -705,10 +775,9 @@ def difference(a, b):
                 key = (da, None)
                 got = by_target.get(key)
                 by_target[key] = rest if got is None else got | rest
-        edges = [(label, target) for target, label in by_target.items()]
-        return sa in a_finals and sb not in b_finals, edges
+        return sa in a_finals and sb not in b_finals, by_target
 
-    return trim(_canonical(a.alphabet, (0, 0), expand))
+    return _trim_product(a.alphabet, expand)
 
 
 class Chain:
@@ -1006,7 +1075,7 @@ def enumerate_strings(dfa, limit):
             pairs.extend((sym, dst) for sym in label)
         pairs.sort()
         expanded.append(tuple(pairs))
-    preds = _predecessors(dfa)
+    preds = _predecessors(dfa.transitions)
 
     # live[n]: the reachable states with an accepted continuation of
     # exactly n symbols

@@ -43,6 +43,7 @@ from .util import (
     naive_moore_minimal_states,
     nfa_accepts,
     nfa_erase_symbol,
+    per_symbol_moore,
     random_dfa,
 )
 
@@ -808,6 +809,32 @@ def test_property_minimize_wide_labels(d):
         return
     reduced = reduce_acyclic(d)
     assert (reduced.transitions, reduced.finals) == (m.transitions, m.finals)
+
+
+#: `random_dfa`s over `_PROP_ALPHABET`, which step the boundary symbols too.
+boundary_dfas = st.randoms(use_true_random=False).map(
+    lambda rng: random_dfa(rng, _PROP_ALPHABET, max_states=6)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(dfas(), wide_dfas(), boundary_dfas))
+def test_property_minimize_matches_per_symbol_moore(d):
+    m = minimize(d)
+    want = per_symbol_moore(d)
+    assert (m.transitions, m.finals) == (want.transitions, want.finals)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(dfas(), boundary_dfas), st.one_of(dfas(), boundary_dfas))
+def test_property_trim_mark_never_lies(a, b):
+    assert not a._trimmed and not b._trimmed  # built by hand
+    assert not erase_symbol(a, _PROP_SYMS[0])._trimmed
+    for x in (trim(a), minimize(a), complement(a), difference(a, b), intersect(a, b)):
+        assert x._trimmed
+        assert trim(x) is x
+        again = trim(Dfa(x.alphabet, x.transitions, x.finals))  # an unmarked copy
+        assert (again.transitions, again.finals) == (x.transitions, x.finals)
 
 
 #: Every string of at most four symbols; intersecting with it makes any

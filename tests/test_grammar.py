@@ -6,7 +6,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fslat import grammar as grammar_module
+from fslat import automata as automata_module, grammar as grammar_module
 from fslat.automata import (
     Alphabet,
     PatternError,
@@ -730,3 +730,38 @@ def test_demo_build_determinized_states(
         monkeypatch.setattr(grammar_module, name, counting(getattr(grammar_module, name)))
     Pipeline.build(demo_lexicon, demo_map, demo_grammar, registry)
     assert sum(states) == DEMO_BUILD_DETERMINIZED_STATES
+
+
+#: Over one build of the demo pipeline: the states `automata._canonical`
+#: numbers, and the calls of `automata._useful`.  A trim, minimized or
+#: product DFA is marked trim where it is built, so `trim` and `minimize`
+#: do not trim it again, and a product numbers only its useful pairs:
+#: trimming every such DFA again and numbering every reachable pair, a
+#: build numbers 6264 states and searches 174 times.  Either number may
+#: only go down.
+DEMO_BUILD_NUMBERED_STATES = 3859
+DEMO_BUILD_USEFUL_SEARCHES = 48
+
+
+def test_demo_build_numbers_each_state_once(
+    monkeypatch, demo_lexicon, demo_map, demo_grammar, registry
+):
+    numbered = []
+    searches = []
+    canonical = automata_module._canonical
+    useful = automata_module._useful
+
+    def counted_canonical(*args):
+        dfa = canonical(*args)
+        numbered.append(dfa.n_states)
+        return dfa
+
+    def counted_useful(dfa):
+        searches.append(dfa)
+        return useful(dfa)
+
+    monkeypatch.setattr(automata_module, "_canonical", counted_canonical)
+    monkeypatch.setattr(automata_module, "_useful", counted_useful)
+    Pipeline.build(demo_lexicon, demo_map, demo_grammar, registry)
+    assert sum(numbered) == DEMO_BUILD_NUMBERED_STATES
+    assert len(searches) == DEMO_BUILD_USEFUL_SEARCHES

@@ -284,6 +284,42 @@ def naive_moore_minimal_states(dfa):
     return len(set(block))
 
 
+def per_symbol_moore(dfa):
+    """The canonical minimal DFA by Moore's partition refinement with one
+    signature entry per symbol the trimmed DFA steps, the quotient
+    numbered through `_canonical`.  An oracle for `automata.minimize`,
+    which refines over distinct symbol columns instead: both must give
+    the same transitions and finals."""
+    d = trim(dfa)
+    if not d.finals:
+        return d
+    index = d._symbol_index()
+    syms = sorted({sym for row in index for sym in row})
+    cls = [1 if s in d.finals else 0 for s in range(d.n_states)]
+    ncls = len(set(cls))
+    while True:
+        sigs = {}
+        new_cls = []
+        for s, row in enumerate(index):
+            sig = (cls[s], tuple(cls[row[sym]] if sym in row else None for sym in syms))
+            new_cls.append(sigs.setdefault(sig, len(sigs)))
+        cls = new_cls
+        if len(sigs) == ncls:
+            break
+        ncls = len(sigs)
+    reps = {}
+    for s, c in enumerate(cls):
+        reps.setdefault(c, s)
+
+    def expand(c):
+        merged = {}
+        for label, dst in d.transitions[reps[c]]:
+            merged[cls[dst]] = merged.get(cls[dst], frozenset()) | label
+        return reps[c] in d.finals, [(label, t) for t, label in merged.items()]
+
+    return _canonical(d.alphabet, cls[0], expand)
+
+
 def hand_matcher(string, *alternatives):
     """Trivially checks membership in a finite list of strings."""
     return tuple(string) in {tuple(a) for a in alternatives}
