@@ -5,7 +5,9 @@ labelled with a large symbol class stay compact even when the alphabet has
 hundreds of symbols.  Automata are immutable once built (a `Dfa` only
 fills in two caches on first use, and carries a mark of being trim that
 its builder sets); every constructor function returns a fresh object,
-except that `trim` returns a DFA already marked trim as it is.
+except that `trim` returns a DFA already marked trim as it is.  Counting,
+enumeration and the emptiness test start from `trim(dfa)`, which is free
+for a marked DFA, so no state off every accepting path reaches them.
 
 A DFA's start state is always state 0 and its states are numbered in
 breadth-first discovery order with per-state edges sorted by smallest
@@ -175,11 +177,11 @@ class Dfa:
     kernels (`_index`; most automata are never stepped), and the trigger
     set (`_trigger`, see `trigger_symbols`), which only a rule needs.  The
     third is a mark set where the DFA is built: `_trimmed` is true when
-    the builder (`trim`, `minimize`, `complement`, `difference` or
-    `intersect`) knows the DFA to be trim and canonically numbered, so
-    `trim` returns it as it is.  A DFA built any other way, by hand or by
-    `pattern_dfa`, `erase_symbol` or `expand_blocks`, is left unmarked,
-    and `trim` trims it."""
+    the builder (`trim`, `minimize`, `reduce_acyclic`, `complement`,
+    `difference`, `intersect` or `Chain.dfa`) knows the DFA to be trim
+    and canonically numbered, so `trim` returns it as it is.  A DFA built
+    any other way, by hand or by `pattern_dfa`, `erase_symbol` or
+    `expand_blocks`, is left unmarked, and `trim` trims it."""
 
     __slots__ = ("alphabet", "transitions", "finals", "_index", "_trigger", "_trimmed")
 
@@ -469,9 +471,11 @@ def erase_symbol(dfa, sym):
 def _search(starts, successors):
     """The set of states reached from `starts` along `successors`, which
     lists each state's next states, depth-first with an explicit stack.
-    The one graph search: `_useful` and `_trim_product` run it over
-    `_predecessors`, and `erase_symbol` over the erased symbol's edges for
-    its memoized closures."""
+    The one graph search: `_useful` and `_trim_product` run it back from
+    the final states over `_predecessors`, and `erase_symbol` over the
+    erased symbol's edges for its memoized closures.  No forward search
+    is needed, since `_canonical` only numbers states it reaches from the
+    start."""
     seen = set(starts)
     stack = list(seen)
     while stack:
@@ -479,21 +483,6 @@ def _search(starts, successors):
             if nxt not in seen:
                 seen.add(nxt)
                 stack.append(nxt)
-    return seen
-
-
-def _reachable(dfa):
-    """The states reachable from the start.  Walks `dfa.transitions` in
-    place, not through `_search`: the table of bare targets that `_search`
-    needs made decoding, which walks every survivor, about 10% slower."""
-    seen = {0}
-    stack = [0]
-    while stack:
-        state = stack.pop()
-        for _, dst in dfa.transitions[state]:
-            if dst not in seen:
-                seen.add(dst)
-                stack.append(dst)
     return seen
 
 
@@ -511,32 +500,31 @@ def _predecessors(transitions):
 
 
 def _useful(dfa):
-    """The states on some path from the start to a final state."""
-    return _reachable(dfa) & _search(dfa.finals, _predecessors(dfa.transitions))
+    """The states from which some final state can be reached.  Reachability
+    from the start needs no search of its own: `_canonical` walks from the
+    start, so `_number_useful` numbers only states that are both."""
+    return _search(dfa.finals, _predecessors(dfa.transitions))
 
 
-def _topological(dfa, states):
-    """A topological order of the subgraph of `dfa` on `states`, by Kahn's
-    algorithm, or None if that subgraph has a cycle.  The one topological
-    sort: `count_paths` runs it over the useful states and `reduce_acyclic`
-    over the whole trimmed DFA."""
+def _topological(dfa):
+    """A topological order of the states of the trim `dfa`, by Kahn's
+    algorithm, or None if it has a cycle.  The one topological sort:
+    `count_paths` and `reduce_acyclic` run it."""
     transitions = dfa.transitions
-    indeg = dict.fromkeys(states, 0)
-    for src in indeg:
-        for _, dst in transitions[src]:
-            if dst in indeg:
-                indeg[dst] += 1
-    stack = [s for s, d in indeg.items() if d == 0]
+    indeg = [0] * len(transitions)
+    for edges in transitions:
+        for _, dst in edges:
+            indeg[dst] += 1
+    stack = [s for s, d in enumerate(indeg) if d == 0]
     order = []
     while stack:
         state = stack.pop()
         order.append(state)
         for _, dst in transitions[state]:
-            if dst in indeg:
-                indeg[dst] -= 1
-                if indeg[dst] == 0:
-                    stack.append(dst)
-    return order if len(order) == len(indeg) else None
+            indeg[dst] -= 1
+            if indeg[dst] == 0:
+                stack.append(dst)
+    return order if len(order) == len(transitions) else None
 
 
 def _mark_trimmed(dfa):
@@ -545,27 +533,28 @@ def _mark_trimmed(dfa):
     return dfa
 
 
-def trim(dfa):
-    """Drop states that are unreachable or cannot reach a final state, and
-    renumber the rest in BFS order.  The empty language canonicalizes to a
-    single non-accepting start state.  The result is marked trim, and a
-    DFA already marked so is returned as it is."""
-    if dfa._trimmed:
-        return dfa
-    useful = _useful(dfa)
+def _number_useful(alphabet, transitions, finals, useful):
+    """The trim DFA of `transitions` and `finals` (state 0 the start),
+    marked so: the `useful` states that the start reaches, numbered by
+    `_canonical`.  The empty language canonicalizes to a single
+    non-accepting start state.  `trim` and `_trim_product` both end here."""
     if 0 not in useful:
-        return _mark_trimmed(empty_dfa(dfa.alphabet))
-    transitions = dfa.transitions
-    finals = dfa.finals
+        return _mark_trimmed(empty_dfa(alphabet))
 
     def expand(state):
-        edges = []
-        for label, dst in transitions[state]:
-            if dst in useful:
-                edges.append((label, dst))
+        edges = [(label, dst) for label, dst in transitions[state] if dst in useful]
         return state in finals, edges
 
-    return _mark_trimmed(_canonical(dfa.alphabet, 0, expand))
+    return _mark_trimmed(_canonical(alphabet, 0, expand))
+
+
+def trim(dfa):
+    """Drop states that are unreachable or cannot reach a final state, and
+    renumber the rest in BFS order (`_number_useful`).  The result is
+    marked trim, and a DFA already marked so is returned as it is."""
+    if dfa._trimmed:
+        return dfa
+    return _number_useful(dfa.alphabet, dfa.transitions, dfa.finals, _useful(dfa))
 
 
 def minimize(dfa):
@@ -615,11 +604,12 @@ def minimize(dfa):
 def reduce_acyclic(dfa):
     """Merge suffix-equivalent states of an acyclic DFA in one reverse
     topological pass (linear in states and edges); the result is the
-    minimal DFA.  Falls back to `minimize` when a useful cycle exists."""
+    minimal DFA, marked trim.  Falls back to `minimize` when a useful
+    cycle exists."""
     d = trim(dfa)
     if not d.finals:
         return d
-    order = _topological(d, range(d.n_states))
+    order = _topological(d)
     if order is None:
         return minimize(dfa)
     cls = [0] * d.n_states
@@ -634,7 +624,7 @@ def reduce_acyclic(dfa):
             idx = signatures[sig] = len(classes)
             classes.append((final, edges))
         cls[state] = idx
-    return _canonical(d.alphabet, cls[0], classes.__getitem__)
+    return _mark_trimmed(_canonical(d.alphabet, cls[0], classes.__getitem__))
 
 
 def complement(dfa):
@@ -708,8 +698,9 @@ def _trim_product(alphabet, expand):
     The one way a product gets its numbers.  The reachable pairs are
     listed once, in a plain dict, the useful ones are found by a search
     (`_search`) back from the final pairs over a predecessor table, and
-    only those are numbered, through `_canonical`: that gives the same
-    DFA as numbering every reachable pair and trimming the result."""
+    only those are numbered, by `_number_useful` as in `trim`: that gives
+    the same DFA as numbering every reachable pair and trimming the
+    result."""
     start = (0, 0)
     index = {start: 0}
     pairs = [start]
@@ -727,14 +718,7 @@ def _trim_product(alphabet, expand):
                 pairs.append(target)
             edges.append((label, j))
         out.append(edges)
-    useful = _search(finals, _predecessors(out))
-    if 0 not in useful:
-        return _mark_trimmed(empty_dfa(alphabet))
-
-    def expand_useful(i):
-        return i in finals, [(label, j) for label, j in out[i] if j in useful]
-
-    return _mark_trimmed(_canonical(alphabet, 0, expand_useful))
+    return _number_useful(alphabet, out, finals, _search(finals, _predecessors(out)))
 
 
 def intersect(a, b):
@@ -838,11 +822,12 @@ class Chain:
         return chain, chain.count
 
     def dfa(self):
-        """The canonically numbered DFA of the chain's language."""
+        """The canonically numbered DFA of the chain's language, marked
+        trim (a chain is trim, and so is its empty form)."""
         transitions = self.transitions
         finals = self.finals
-        return _canonical(
-            self.alphabet, self.start, lambda c: (c in finals, list(transitions[c]))
+        return _mark_trimmed(
+            _canonical(self.alphabet, self.start, lambda c: (c in finals, list(transitions[c])))
         )
 
 
@@ -1031,55 +1016,51 @@ def _register_product(a, start, b):
 
 def is_empty(dfa):
     """True iff no accepting path exists."""
-    return dfa.finals.isdisjoint(_reachable(dfa))
+    return not trim(dfa).finals
 
 
 def count_paths(dfa):
     """Exact number of accepted strings, via one pass over a topological
-    order of the useful subgraph.  Arbitrary precision; never enumerates.
+    order of `trim(dfa)`.  Arbitrary precision; never enumerates.
 
     Raises InfiniteLanguageError if a cycle survives among useful states.
     """
-    useful = _useful(dfa)
-    if 0 not in useful:
-        return 0
-    order = _topological(dfa, useful)
+    d = trim(dfa)
+    order = _topological(d)
     if order is None:
         raise InfiniteLanguageError("automaton accepts an infinite language")
-    ways = {}
+    transitions = d.transitions
+    finals = d.finals
+    ways = [0] * d.n_states
     for state in reversed(order):
-        total = 1 if state in dfa.finals else 0
-        for label, dst in dfa.transitions[state]:
-            if dst in useful:
-                total += len(label) * ways[dst]
+        total = 1 if state in finals else 0
+        for label, dst in transitions[state]:
+            total += len(label) * ways[dst]
         ways[state] = total
     return ways[0]
 
 
 def enumerate_strings(dfa, limit):
     """Up to `limit` accepted strings (tuples of symbol ids) in shortlex
-    order over symbol ids.  Works for finite and infinite languages; only
-    productive prefixes are visited.  The input need not be trim; the live
-    sets are kept to reachable states, so a cycle off the reachable part
-    cannot keep the search going."""
+    order over symbol ids.  Works for finite and infinite languages.  The
+    search runs over `trim(dfa)`, so it visits only productive prefixes
+    and never a part of `dfa` that the start does not reach."""
     if limit <= 0:
         return []
-    reachable = _reachable(dfa)
-    finals = dfa.finals & reachable
-    if not finals:
+    d = trim(dfa)
+    if not d.finals:
         return []
     expanded = []
-    for edges in dfa.transitions:
+    for edges in d.transitions:
         pairs = []
         for label, dst in edges:
             pairs.extend((sym, dst) for sym in label)
         pairs.sort()
         expanded.append(tuple(pairs))
-    preds = _predecessors(dfa.transitions)
+    preds = _predecessors(d.transitions)
 
-    # live[n]: the reachable states with an accepted continuation of
-    # exactly n symbols
-    live = [finals]
+    # live[n]: the states with an accepted continuation of exactly n symbols
+    live = [d.finals]
     out = []
     while len(out) < limit:
         length = len(live) - 1
@@ -1088,7 +1069,6 @@ def enumerate_strings(dfa, limit):
         longer = set()
         for dst in live[length]:
             longer.update(preds[dst])
-        longer &= reachable
         if not longer:
             break
         live.append(longer)

@@ -38,7 +38,7 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .automata import complement, is_empty
+from .automata import is_empty
 from .engine import Pipeline, apply_grammar
 from .grammar import GrammarError, parse_grammar
 from .lattice import PUNCT_TAG, MapError, TagError, default_registry, parse_syntactic_map
@@ -327,7 +327,10 @@ def run_trace(config, out=None, err=None):
 
 def run_check_grammar(config, out=None, err=None):
     """Parse, expand and compile every rule; report sizes, vacuous rules
-    (language = sigma*) and unsatisfiable rules (language = empty)."""
+    (language = sigma*) and unsatisfiable rules (language = empty).  A
+    rule is vacuous when its trigger set (`Dfa.trigger_symbols`) is
+    empty: it accepts every string, since every string avoids the empty
+    set."""
     out = out or sys.stdout
     err = err or sys.stderr
     pipeline, status = _load_pipeline(config, err)
@@ -340,7 +343,7 @@ def run_check_grammar(config, out=None, err=None):
         notes = []
         if is_empty(dfa):
             notes.append("UNSATISFIABLE")
-        elif is_empty(complement(dfa)):
+        elif dfa.trigger_symbols() == frozenset():
             notes.append("VACUOUS")
         flagged += bool(notes)
         suffix = "\t" + ",".join(notes) if notes else ""

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .automata import BOUNDARY_TEXTS, Dfa, _canonical, count_paths
+from .automata import BOUNDARY_TEXTS, Chain, Dfa, _canonical
 
 
 class TagError(Exception):
@@ -335,5 +335,6 @@ def build_lattice(cohorts, registry, alphabet):
 
 
 def reading_count(lattice):
-    """Exact number of sentence readings; delegates to path counting."""
-    return count_paths(lattice.automaton)
+    """Exact number of sentence readings: the count of the lattice's
+    `Chain`, the walk every parse starts with."""
+    return Chain(lattice.automaton).count

@@ -527,6 +527,37 @@ class TestIsEmpty:
         assert not is_empty(pattern_dfa(lit(abc, "A"), abc))
 
 
+class TestUnreachablePart:
+    """Counting, enumeration and the emptiness test see only what the start
+    reaches: a part off it, here a useful cycle through an extra final
+    state, must change none of them."""
+
+    @pytest.fixture
+    def alph(self):
+        return Alphabet(["A", "B"])
+
+    def _with_unreachable_cycle(self, alph, start_edges):
+        # states 1 and 2 form a cycle through the final state 2, and state 2
+        # steps into state 3; nothing leads to 1 or 2 from the start
+        a, b = (frozenset(ids(alph, t)) for t in "AB")
+        transitions = (start_edges, ((a, 2),), ((b, 1), (a, 3)), ())
+        finals = (2, 3) if start_edges else (2,)
+        return Dfa(alph, transitions, finals)
+
+    def test_reachable_language_of_one_string(self, alph):
+        a = frozenset(ids(alph, "A"))
+        d = self._with_unreachable_cycle(alph, ((a, 3),))
+        assert not is_empty(d)
+        assert count_paths(d) == 1
+        assert enumerate_strings(d, 10) == [tuple(a)]
+
+    def test_empty_reachable_language(self, alph):
+        d = self._with_unreachable_cycle(alph, ())
+        assert is_empty(d)
+        assert count_paths(d) == 0
+        assert enumerate_strings(d, 10) == []
+
+
 class TestCountPaths:
     def test_single_string(self, abc):
         d = pattern_dfa(Seq((lit(abc, "A"), lit(abc, "B"))), abc)
@@ -825,18 +856,6 @@ def test_property_minimize_matches_per_symbol_moore(d):
     assert (m.transitions, m.finals) == (want.transitions, want.finals)
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.one_of(dfas(), boundary_dfas), st.one_of(dfas(), boundary_dfas))
-def test_property_trim_mark_never_lies(a, b):
-    assert not a._trimmed and not b._trimmed  # built by hand
-    assert not erase_symbol(a, _PROP_SYMS[0])._trimmed
-    for x in (trim(a), minimize(a), complement(a), difference(a, b), intersect(a, b)):
-        assert x._trimmed
-        assert trim(x) is x
-        again = trim(Dfa(x.alphabet, x.transitions, x.finals))  # an unmarked copy
-        assert (again.transitions, again.finals) == (x.transitions, x.finals)
-
-
 #: Every string of at most four symbols; intersecting with it makes any
 #: automaton acyclic.
 _UP_TO_4 = Dfa(
@@ -844,6 +863,20 @@ _UP_TO_4 = Dfa(
     [((frozenset(_PROP_SYMS), i + 1),) for i in range(4)] + [()],
     range(5),
 )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(dfas(), boundary_dfas), st.one_of(dfas(), boundary_dfas))
+def test_property_trim_mark_never_lies(a, b):
+    assert not a._trimmed and not b._trimmed  # built by hand
+    assert not erase_symbol(a, _PROP_SYMS[0])._trimmed
+    acyclic = intersect(a, _UP_TO_4)
+    built = (trim(a), minimize(a), complement(a), difference(a, b), intersect(a, b))
+    for x in (*built, reduce_acyclic(acyclic), Chain(acyclic).dfa()):
+        assert x._trimmed
+        assert trim(x) is x
+        again = trim(Dfa(x.alphabet, x.transitions, x.finals))  # an unmarked copy
+        assert (again.transitions, again.finals) == (x.transitions, x.finals)
 
 
 @settings(max_examples=300, deadline=None)
@@ -1046,6 +1079,23 @@ def test_property_trigger_symbols_leave_every_free_string_accepted(rng, density,
     free = sorted(stepped - trigger)
     for w in exhaustive_strings(free, 4):
         assert d.accepts(w), (free, w)
+
+
+#: Dense `random_dfa`s over `_ABC`, which step the boundary symbols too;
+#: some of them accept every string.
+dense_boundary_dfas = st.builds(
+    lambda rng, density, final_p: random_dfa(rng, _ABC, 4, density, final_p),
+    st.randoms(use_true_random=False),
+    st.sampled_from((0.7, 0.9, 1.0)),
+    st.sampled_from((0.4, 0.8, 1.0)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(dfas(), dfas().map(complement), dense_boundary_dfas))
+def test_property_empty_trigger_set_iff_sigma_star(d):
+    # `check-grammar` reads an empty trigger set as a vacuous rule
+    assert (d.trigger_symbols() == frozenset()) == is_empty(complement(d))
 
 
 def _label_union(transitions):
