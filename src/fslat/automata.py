@@ -768,8 +768,9 @@ class Chain:
     """An acyclic language on its way through a chain of intersections.
 
     A chain holds the register's classes in the order the walk settled
-    them: `transitions[c]` lists class `c`'s `(label, successor)` edges,
-    successors have smaller ids than `c`, `finals` is the set of accepting
+    them: `transitions[c]` is the tuple of class `c`'s `(label, successor)`
+    edges, as in a `Dfa` (the empty chain is `[()]`), successors have
+    smaller ids than `c`, `finals` is the set of accepting
     classes, `start` the start class and `count` the number of strings.  A
     chain is minimal and trim but not canonically numbered; `dfa()`
     numbers it, once, at the end.
@@ -782,7 +783,8 @@ class Chain:
 
     `Chain(dfa)` reduces, trims and counts an acyclic DFA by the walk a
     step runs, against a one-state Sigma* DFA.  Raises
-    InfiniteLanguageError if the walk meets a cycle.
+    InfiniteLanguageError if the walk meets a cycle.  A chain is acyclic
+    by construction, so a step's walk looks for no cycle.
 
     The walk (`_register_product`) steps each unary run of the chain, a
     row of one-edge, non-final classes, in a loop, whatever the size of
@@ -810,8 +812,7 @@ class Chain:
         register walk over the product (`_register_product`).  Containment
         is settled without a walk when `b` has a trigger set and no symbol
         of the chain is in it, since `b` accepts every string that avoids
-        it, and by a containment walk (`_contained`) otherwise.  Raises
-        InfiniteLanguageError if the walk meets a cycle."""
+        it, and by a containment walk (`_contained`) otherwise."""
         if b.alphabet is not self.alphabet:
             raise AlphabetMismatchError("intersect requires a shared alphabet")
         trigger = b.trigger_symbols()
@@ -889,14 +890,21 @@ def _register_product(a, start, b):
     frame, which carries the run, and the run's pairs are settled after
     it, last first.  So a step's cost follows the branching pairs, plus
     one lookup per symbol on the runs.  Wherever it is settled, a
-    non-final class with one merged edge is registered under `(successor
-    class, label)`, so equal right languages share one class either way.
+    non-final class with one merged edge `(label, successor class)` is
+    registered under that edge, so equal right languages share one class
+    either way, and its edges are `(edge,)`: the register key is the edge.
+    Such a class with a one-symbol label shares its successor's count.
+    Every other class's edges are a tuple too, and their frozenset, with
+    the class's finality, is its register key.
 
     A pair `(sa, sb)` is keyed as the int `sa * nb + sb`, `nb` the number
     of `b`'s states, so no pair's key is a tuple to build and hash.
 
-    Raises InfiniteLanguageError if the walk meets a cycle, which the
-    product of an acyclic `a` has none of.
+    When `a` is a DFA (`Chain(dfa)`), a pair whose successors are still
+    being walked is marked, and InfiniteLanguageError is raised if the
+    walk meets a marked pair, that is a cycle; the product of an acyclic
+    `a` has none.  A chain `a` is acyclic by construction, so its products
+    are too, and no marks are written.
     """
     product = _product_edges(a, b)
     a_transitions = a.transitions
@@ -904,12 +912,13 @@ def _register_product(a, start, b):
     b_index = b._symbol_index()
     b_finals = b.finals
     nb = len(b_index)
+    marks = isinstance(a, Dfa)  # mark pairs on the stack: only a DFA can hold a cycle
     on_stack = -2  # class of a pair whose successors are still being walked
     root = start * nb
-    cls = {root: on_stack}  # pair key -> class id, or -1 once known dead
-    unary = {}  # (successor class, label) -> id of a non-final one-edge class
-    register = {}  # (final, frozenset of (class, label)) -> id of other classes
-    transitions = []  # merged edges of each class, by class id
+    cls = {root: on_stack} if marks else {}  # pair key -> class id, or -1 once dead
+    unary = {}  # (label, successor class) -> id of a non-final one-edge class
+    register = {}  # (final, frozenset of edges) -> id of other classes
+    transitions = []  # the tuple of merged edges of each class, by class id
     finals = set()
     counts = []  # accepted strings from each class, by class id
     symbols = set()  # every symbol on the new classes' edges
@@ -948,7 +957,8 @@ def _register_product(a, start, b):
                     if c == on_stack:
                         raise InfiniteLanguageError("the product walk met a cycle")
                     break
-                cls[key] = on_stack
+                if marks:
+                    cls[key] = on_stack
             if c is None:  # the run ends at a pair that branches or splits its label
                 edges = product(sa, sb)
                 stack.append((key, sa, sb, edges, iter(edges), run))
@@ -961,7 +971,8 @@ def _register_product(a, start, b):
                 t = sa * nb + sb
                 c = cls.get(t)
                 if c is None:
-                    cls[t] = on_stack
+                    if marks:
+                        cls[t] = on_stack
                     key = t
                     break
                 if c == on_stack:
@@ -982,35 +993,36 @@ def _register_product(a, start, b):
             elif not merged and not final:
                 c = cls[top] = -1
             else:
-                signature = (final, frozenset(merged.items()))
+                class_edges = tuple(zip(merged.values(), merged))
+                signature = (final, frozenset(class_edges))
                 c = register.get(signature)
                 if c is None:
                     c = register[signature] = len(transitions)
                     count = 1 if final else 0
-                    for d, label in merged.items():
+                    for label, d in class_edges:
                         count += len(label) * counts[d]
                         symbols |= label
                     counts.append(count)
                     if final:
                         finals.add(c)
-                    transitions.append([(label, d) for d, label in merged.items()])
+                    transitions.append(class_edges)
                 cls[top] = c
         else:
             break
         for p, label in reversed(run):  # settle the run into class `c`
             if c >= 0:
-                u = (c, label)
+                u = (label, c)  # the class's one edge is its register key
                 got = unary.get(u)
                 if got is None:
                     got = unary[u] = len(transitions)
-                    counts.append(len(label) * counts[c])
-                    transitions.append([(label, c)])
+                    counts.append(counts[c] if len(label) == 1 else len(label) * counts[c])
+                    transitions.append((u,))
                     symbols |= label
                 c = got
             cls[p] = c
     start = cls[root]
     if start < 0:  # nothing survives: one non-accepting class, as empty_dfa
-        return [[]], frozenset(), 0, 0, frozenset()
+        return [()], frozenset(), 0, 0, frozenset()
     return transitions, finals, start, counts[start], symbols
 
 

@@ -408,7 +408,7 @@ class TestRunLabels:
         assert count == 1  # every label narrowed to {A}
         assert symbols == a
         assert len(transitions) == n + 1
-        assert transitions[start] == [(a, start - 1)]
+        assert transitions[start] == ((a, start - 1),)
         dead_end = Chain(Dfa(alph, [((a | b, i + 1),) for i in range(n)] + [()], ()))
         assert dead_end.count == 0  # every symbol steps Sigma*, and the end is not final
 
@@ -1030,14 +1030,33 @@ def rule_lists(draw):
     return rules
 
 
+def _assert_chain_is_minimal(chain, want):
+    """`chain` has as many classes as the minimal `want`; each class's
+    edges are a tuple of edges into lower class ids, with non-empty,
+    pairwise-disjoint labels."""
+    assert len(chain.transitions) == want.n_states
+    for c, edges in enumerate(chain.transitions):
+        assert type(edges) is tuple, (c, edges)
+        seen = set()
+        for label, d in edges:
+            assert 0 <= d < c, (c, edges)
+            assert label and seen.isdisjoint(label), (c, edges)
+            seen |= label
+
+
 def _assert_chain_fold_is_reduced_product_fold(a, rules):
     chain = Chain(a)
     want = reduce_acyclic(a)
     assert chain.count == count_paths(a)
+    _assert_chain_is_minimal(chain, want)
     for rule in rules:
-        chain, count = chain.intersect(rule)
+        before = list(chain.transitions)
+        stepped, count = chain.intersect(rule)
+        assert chain.transitions == before  # a step leaves its input as it was
+        chain = stepped
         want = reduce_acyclic(intersect(want, rule))
         assert count == count_paths(want)
+        _assert_chain_is_minimal(chain, want)
     got = chain.dfa()
     assert (got.n_states, got.transitions, got.finals) == (
         want.n_states, want.transitions, want.finals,

@@ -76,6 +76,16 @@ TINY_GRAMMAR = """
 """
 
 
+#: Classes of the stress sentence's chain after each of the 48 demo rule
+#: steps: peak 2,280, final 490.
+STRESS_CHAIN_SIZES = [
+    304, 560, 570, 570, 570, 570, 570, 817, 817, 816, 816, 848,
+    848, 842, 854, 866, 866, 888, 888, 888, 744, 744, 744, 744,
+    744, 846, 849, 849, 849, 849, 985, 1213, 1213, 1421, 1378, 1385,
+    1427, 1406, 1487, 1261, 1261, 2280, 2280, 2254, 1248, 1261, 1261, 490,
+]
+
+
 class TestApplyGrammar:
     def test_zero_rules_is_identity(self):
         pipe = tiny_pipeline()
@@ -143,6 +153,21 @@ class TestApplyGrammar:
             assert (got.n_states, got.transitions, got.finals) == (
                 want.n_states, want.transitions, want.finals,
             ), text
+
+    def test_demo_stress_chain_sizes(self, demo_pipeline):
+        # a step's cost follows its chain's size, which no count or
+        # reading shows: a kernel that merged fewer classes would only run
+        # slower
+        from fslat import data
+
+        lattice = demo_pipeline.lattice_for(tokenize(data.read("stress39.txt")))
+        chain = Chain(lattice.automaton)
+        assert len(chain.transitions) == 300
+        sizes = []
+        for rule in demo_pipeline.rules:
+            chain, _ = chain.intersect(rule.automaton)
+            sizes.append(len(chain.transitions))
+        assert sizes == STRESS_CHAIN_SIZES
 
     def test_counts_monotone(self):
         pipe = tiny_pipeline(TINY_GRAMMAR)
