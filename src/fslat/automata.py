@@ -781,6 +781,12 @@ class Chain:
     symbols among them is skipped: every string of the chain avoids the
     trigger set, so the rule accepts it.
 
+    `run_syms[c]` is the symbol id of class `c`'s one edge when `c` is not
+    final and has one edge whose label holds one symbol, and -1 for every
+    other class (the empty chain's is `[-1]`).  The walk that creates a
+    class fills its entry, so a later step reads one list entry where it
+    would test the class's edges, finality and label size.
+
     `Chain(dfa)` reduces, trims and counts an acyclic DFA by the walk a
     step runs, against a one-state Sigma* DFA.  Raises
     InfiniteLanguageError if the walk meets a cycle.  A chain is acyclic
@@ -791,10 +797,12 @@ class Chain:
     their labels, for as long as the rule sends every live symbol of a
     label to one state.  It opens a stack frame only where the chain
     branches or the rule splits a label, so a step's cost follows the
-    branching pairs more than the symbols.
+    branching pairs more than the symbols.  A class with a `run_syms`
+    symbol costs one lookup in the rule, in a step's walk and in the
+    containment walk (`_contained`) alike.
     """
 
-    __slots__ = ("alphabet", "transitions", "finals", "start", "count", "symbols")
+    __slots__ = ("alphabet", "transitions", "finals", "start", "count", "symbols", "run_syms")
 
     def __init__(self, dfa):
         alphabet = dfa.alphabet
@@ -803,7 +811,7 @@ class Chain:
 
     def _settle(self, alphabet, walked):
         self.alphabet = alphabet
-        self.transitions, self.finals, self.start, self.count, self.symbols = walked
+        self.transitions, self.finals, self.start, self.count, self.symbols, self.run_syms = walked
         return self
 
     def intersect(self, b):
@@ -838,36 +846,54 @@ def _contained(chain, b):
     or the first accepting class whose pair `b` does not accept.  Each
     symbol of a label is stepped on its own, since `b` may send a label's
     symbols to different states.  A pair `(sa, sb)` is keyed as the int
-    `sa * nb + sb`, `nb` the number of `b`'s states."""
+    `sa * nb + sb`, `nb` the number of `b`'s states.
+
+    A popped pair first steps its class's unary run in a loop, one lookup
+    in `b` per class whose `Chain.run_syms` entry holds a symbol, with no
+    stack entry for the pairs on it; the run ends at a class with no such
+    symbol, which is stepped edge by edge, or at a pair already seen."""
     b_index = b._symbol_index()
     b_finals = b.finals
     nb = len(b_index)
     transitions = chain.transitions
     finals = chain.finals
+    run_syms = chain.run_syms
     seen = {chain.start * nb}
     stack = [(chain.start, 0)]
     while stack:
         sa, sb = stack.pop()
-        if sa in finals and sb not in b_finals:
-            return False
-        b_table = b_index[sb]
-        for label, da in transitions[sa]:
-            for sym in label:
-                db = b_table.get(sym)
-                if db is None:
-                    return False
-                key = da * nb + db
-                if key not in seen:
-                    seen.add(key)
-                    stack.append((da, db))
+        sym = run_syms[sa]
+        while sym >= 0:  # a non-final class with one one-symbol edge
+            sb = b_index[sb].get(sym)
+            if sb is None:
+                return False
+            sa = transitions[sa][0][1]
+            key = sa * nb + sb
+            if key in seen:
+                break
+            seen.add(key)
+            sym = run_syms[sa]
+        else:  # the run ends at a class that branches, is final or has a wide label
+            if sa in finals and sb not in b_finals:
+                return False
+            b_table = b_index[sb]
+            for label, da in transitions[sa]:
+                for sym in label:
+                    db = b_table.get(sym)
+                    if db is None:
+                        return False
+                    key = da * nb + db
+                    if key not in seen:
+                        seen.add(key)
+                        stack.append((da, db))
     return True
 
 
 def _register_product(a, start, b):
-    """`(transitions, finals, start, count, symbols)` of the chain of
-    L(a) & L(b), for `a` a DFA or chain entered at state `start`, in one
-    product walk.  `symbols` is the union of the labels of the classes the
-    walk creates.
+    """`(transitions, finals, start, count, symbols, run_syms)` of the
+    chain of L(a) & L(b), for `a` a DFA or chain entered at state `start`,
+    in one product walk.  `symbols` is the union of the labels of the
+    classes the walk creates, and `run_syms` their `Chain.run_syms`.
 
     Product pairs are walked depth-first with an explicit stack.  A pair is
     settled once all its successors are: edges into dead pairs are dropped,
@@ -881,9 +907,14 @@ def _register_product(a, start, b):
 
     Most pairs of a lattice-shaped `a` sit on unary runs, where `a`'s state
     is not final and has one edge.  A run is stepped in a loop, one lookup
-    in `b` per label symbol.  It goes on while the symbols `b` can step
-    all reach one state of `b`; when some symbols die, the pair's label is
-    narrowed to the rest.  The run stops at the first pair whose `a`-state
+    in `b` per label symbol.  When `a` is a chain, a class with a
+    `run_syms` symbol is stepped from that entry alone: its edge tuple and
+    one lookup in `b`.  Any other state is tested for one edge and
+    finality, and a label of several symbols is looked up symbol by
+    symbol; a DFA `a` has no `run_syms`, so all its states take this
+    path.  The run goes on while the symbols `b` can step all reach one
+    state of `b`; when some symbols die, the pair's label is narrowed to
+    the rest.  The run stops at the first pair whose `a`-state
     branches or is final, whose label `b` splits over two or more states,
     or that is already settled, and it dies where `b` can step none of a
     label's symbols.  Only a pair that branches or splits gets a stack
@@ -893,9 +924,10 @@ def _register_product(a, start, b):
     non-final class with one merged edge `(label, successor class)` is
     registered under that edge, so equal right languages share one class
     either way, and its edges are `(edge,)`: the register key is the edge.
-    Such a class with a one-symbol label shares its successor's count.
+    Such a class with a one-symbol label shares its successor's count and
+    takes its symbol as its `run_syms` entry, which the run already knows.
     Every other class's edges are a tuple too, and their frozenset, with
-    the class's finality, is its register key.
+    the class's finality, is its register key; its entry is -1.
 
     A pair `(sa, sb)` is keyed as the int `sa * nb + sb`, `nb` the number
     of `b`'s states, so no pair's key is a tuple to build and hash.
@@ -913,6 +945,7 @@ def _register_product(a, start, b):
     b_finals = b.finals
     nb = len(b_index)
     marks = isinstance(a, Dfa)  # mark pairs on the stack: only a DFA can hold a cycle
+    a_run_syms = [-1] * len(a_transitions) if marks else a.run_syms
     on_stack = -2  # class of a pair whose successors are still being walked
     root = start * nb
     cls = {root: on_stack} if marks else {}  # pair key -> class id, or -1 once dead
@@ -922,31 +955,39 @@ def _register_product(a, start, b):
     finals = set()
     counts = []  # accepted strings from each class, by class id
     symbols = set()  # every symbol on the new classes' edges
+    run_syms = []  # `Chain.run_syms` of the new classes, by class id
     stack = []  # frames (pair key, sa, sb, product edges, their iterator, run into pair)
     key, sa, sb = root, start, 0  # a newly reached pair, marked on_stack, to be entered
     while True:
         if key is not None:  # step the unary run from the pair
-            run = []  # (pair key, label) of each pair stepped, in walk order
+            run = []  # (pair key, label, its one symbol or -1) of each pair stepped, in order
             c = None
             while True:
-                a_edges = a_transitions[sa]
-                if len(a_edges) != 1 or sa in a_finals:
-                    break
-                label, da = a_edges[0]
-                b_table = b_index[sb]
-                if len(label) == 1:
-                    (sym,) = label
-                    db = b_table.get(sym)
+                sym = a_run_syms[sa]
+                if sym >= 0:  # a non-final chain class with one one-symbol edge
+                    label, da = a_transitions[sa][0]
+                    db = b_index[sb].get(sym)
                 else:
-                    dbs = set(map(b_table.get, label))
-                    if None in dbs:  # some symbols die: narrow to the rest
-                        dbs.discard(None)
-                        if len(dbs) == 1:
-                            label = frozenset([sym for sym in label if sym in b_table])
-                    if len(dbs) > 1:  # the label splits: the pair branches
+                    a_edges = a_transitions[sa]
+                    if len(a_edges) != 1 or sa in a_finals:
                         break
-                    db = dbs.pop() if dbs else None
-                run.append((key, label))
+                    label, da = a_edges[0]
+                    b_table = b_index[sb]
+                    if len(label) == 1:  # a DFA's one-symbol label
+                        (sym,) = label
+                        db = b_table.get(sym)
+                    else:
+                        dbs = set(map(b_table.get, label))
+                        if None in dbs:  # some symbols die: narrow to the rest
+                            dbs.discard(None)
+                            if len(dbs) == 1:
+                                label = frozenset([s for s in label if s in b_table])
+                                if len(label) == 1:
+                                    (sym,) = label
+                        if len(dbs) > 1:  # the label splits: the pair branches
+                            break
+                        db = dbs.pop() if dbs else None
+                run.append((key, label, sym))
                 if db is None:  # `b` cannot step the label: the run is dead
                     c = -1
                     break
@@ -989,7 +1030,7 @@ def _register_product(a, start, b):
             final = ta in a_finals and tb in b_finals
             if not final and len(merged) == 1:  # keyed as a run's pair, with the run
                 ((c, label),) = merged.items()
-                run.append((top, label))
+                run.append((top, label, min(label) if len(label) == 1 else -1))
             elif not merged and not final:
                 c = cls[top] = -1
             else:
@@ -1006,24 +1047,30 @@ def _register_product(a, start, b):
                     if final:
                         finals.add(c)
                     transitions.append(class_edges)
+                    run_syms.append(-1)
                 cls[top] = c
         else:
             break
-        for p, label in reversed(run):  # settle the run into class `c`
+        for p, label, sym in reversed(run):  # settle the run into class `c`
             if c >= 0:
                 u = (label, c)  # the class's one edge is its register key
                 got = unary.get(u)
                 if got is None:
                     got = unary[u] = len(transitions)
-                    counts.append(counts[c] if len(label) == 1 else len(label) * counts[c])
                     transitions.append((u,))
-                    symbols |= label
+                    run_syms.append(sym)
+                    if sym >= 0:
+                        counts.append(counts[c])
+                        symbols.add(sym)
+                    else:
+                        counts.append(len(label) * counts[c])
+                        symbols |= label
                 c = got
             cls[p] = c
     start = cls[root]
     if start < 0:  # nothing survives: one non-accepting class, as empty_dfa
-        return [()], frozenset(), 0, 0, frozenset()
-    return transitions, finals, start, counts[start], symbols
+        return [()], frozenset(), 0, 0, frozenset(), [-1]
+    return transitions, finals, start, counts[start], symbols, run_syms
 
 
 def is_empty(dfa):

@@ -29,7 +29,7 @@ from fslat.automata import (
     reduce_acyclic,
     trim,
 )
-from fslat.automata import _register_product
+from fslat.automata import _contained, _register_product
 from fslat.grammar import _Matcher
 from .util import (
     Nfa,
@@ -334,6 +334,37 @@ class TestIntersectMinimal:
         with pytest.raises(InfiniteLanguageError):
             Chain(dfa)
 
+    def test_one_symbol_cycle_entered_from_a_branch_raises(self):
+        # 1 -B-> 2 -A-> 1 is the only cycle, entered straight from the
+        # branching start; both its states are unary, one-symbol and not final
+        alph = Alphabet(["A", "B"])
+        a, b = (frozenset(ids(alph, t)) for t in ("A", "B"))
+        dfa = Dfa(alph, [((a, 1), (b, 3)), ((b, 2),), ((a, 1),), ()], (3,))
+        with pytest.raises(InfiniteLanguageError):
+            Chain(dfa)
+
+
+class TestContainedRuns:
+    """A unary run of one-symbol classes is stepped in a loop by the
+    containment walk, with no stack entry per pair."""
+
+    def test_long_one_symbol_run_does_not_recurse(self):
+        alph = Alphabet(["A", "B"])
+        a, b = (frozenset(ids(alph, t)) for t in ("A", "B"))
+        (sym_a,) = a
+        n = 100_000
+        chain = Chain(Dfa(alph, [((a, i + 1),) for i in range(n)] + [()], (n,)))
+        assert chain.run_syms[chain.start] == sym_a
+        assert chain.run_syms.count(sym_a) == n
+        a_star = Dfa(alph, [((a, 0),)], (0,))
+        assert _contained(chain, a_star)
+        # the rule steps every symbol of the run but rejects at its end
+        a_star_rejecting = Dfa(alph, [((a | b, 0),)], ())
+        assert not _contained(chain, a_star_rejecting)
+        got, count = chain.intersect(a_star_rejecting)
+        assert count == 0
+        assert not _contained(chain, Dfa(alph, [((a, 1),), ((b, 1),)], (1,)))
+
 
 class TestRunLabels:
     """A run steps through a one-edge class whose label holds several
@@ -404,11 +435,13 @@ class TestRunLabels:
         n = 100_000
         run = Dfa(alph, [((a | b, i + 1),) for i in range(n)] + [()], (n,))
         a_star = Dfa(alph, [((a, 0),)], (0,))
-        transitions, finals, start, count, symbols = _register_product(run, 0, a_star)
+        transitions, finals, start, count, symbols, run_syms = _register_product(run, 0, a_star)
         assert count == 1  # every label narrowed to {A}
         assert symbols == a
         assert len(transitions) == n + 1
         assert transitions[start] == ((a, start - 1),)
+        (sym_a,) = a
+        assert run_syms == [-1] + [sym_a] * n  # the final class, then the narrowed run
         dead_end = Chain(Dfa(alph, [((a | b, i + 1),) for i in range(n)] + [()], ()))
         assert dead_end.count == 0  # every symbol steps Sigma*, and the end is not final
 
@@ -1033,8 +1066,11 @@ def rule_lists(draw):
 def _assert_chain_is_minimal(chain, want):
     """`chain` has as many classes as the minimal `want`; each class's
     edges are a tuple of edges into lower class ids, with non-empty,
-    pairwise-disjoint labels."""
+    pairwise-disjoint labels; and its `run_syms` entry is the symbol of its
+    one edge when it is not final and that edge's label has one symbol,
+    and -1 otherwise."""
     assert len(chain.transitions) == want.n_states
+    assert len(chain.run_syms) == len(chain.transitions)
     for c, edges in enumerate(chain.transitions):
         assert type(edges) is tuple, (c, edges)
         seen = set()
@@ -1042,6 +1078,8 @@ def _assert_chain_is_minimal(chain, want):
             assert 0 <= d < c, (c, edges)
             assert label and seen.isdisjoint(label), (c, edges)
             seen |= label
+        one_symbol = c not in chain.finals and len(edges) == 1 and len(edges[0][0]) == 1
+        assert chain.run_syms[c] == (min(edges[0][0]) if one_symbol else -1), (c, edges)
 
 
 def _assert_chain_fold_is_reduced_product_fold(a, rules):
@@ -1115,6 +1153,31 @@ dense_boundary_dfas = st.builds(
 def test_property_empty_trigger_set_iff_sigma_star(d):
     # `check-grammar` reads an empty trigger set as a vacuous rule
     assert (d.trigger_symbols() == frozenset()) == is_empty(complement(d))
+
+
+def _assert_contained_iff_count_kept(a, rule):
+    """`_contained(chain, rule)` holds iff intersecting with `rule` keeps the
+    chain's count, for the chain of `a` and for that chain stepped by
+    `rule`, which `rule` contains."""
+    chain = Chain(a)
+    stepped, count = chain.intersect(rule)
+    assert count == count_paths(intersect(chain.dfa(), rule))
+    assert _contained(chain, rule) == (count == chain.count)
+    assert _contained(stepped, rule)
+    assert stepped.intersect(rule) == (stepped, count)
+
+
+@settings(max_examples=500, deadline=None)
+@given(dags(), dfas())
+def test_property_contained_iff_the_step_keeps_the_count(a, rule):
+    _assert_contained_iff_count_kept(a, rule)
+
+
+@settings(max_examples=500, deadline=None)
+@given(lattices(), dfas(alphabet=_WIDE_ALPHABET, syms=_RUN_SYMS))
+def test_property_contained_runs_iff_the_step_keeps_the_count(a, rule):
+    # one-symbol runs, multi-symbol labels and final one-edge classes occur
+    _assert_contained_iff_count_kept(a, rule)
 
 
 def _label_union(transitions):
