@@ -2,15 +2,14 @@
 """Run the benchmark in alternating parent/change pairs and summarize them.
 
     python3 scripts/bench_pairs.py --parent REV --out BENCH_<n>.json \\
-        [--workloads short long] [--first-seed 101] [--pairs 10] [--seconds 55] \\
-        [--change TEXT] [--host TEXT] [--parent-tree DIR]
+        [--change TEXT] [--host TEXT]
 
-For each seed, and for each workload within it, `bench/run.py --trace 0`
-runs once on the parent revision and once on the working tree, the parent
-first on even seeds and the change first on odd ones, so a slow spell on
-the host falls on both sides alike.  The parent is checked out with
-`git worktree` into a temporary directory, which is removed afterwards;
-`--parent-tree` names a checkout to use instead.
+For each seed of `SEEDS`, and for each workload of `BENCHMARK.json` within
+it, `bench/run.py --trace 0` runs for `BENCHMARK.json`'s `run_seconds` once
+on the parent revision and once on the working tree, the parent first on
+even seeds and the change first on odd ones, so a slow spell on the host
+falls on both sides alike.  The parent is exported with `git archive` into
+a temporary directory, which is removed afterwards.
 
 The output file lists every pair's end-to-end values and, per workload and
 metric, the parent's and the change's median, their quartiles
@@ -32,6 +31,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SEEDS = range(101, 111)
 DIGITS = 4
 
 
@@ -80,22 +80,14 @@ def run_bench(tree, workload, seed, seconds):
 
 
 @contextmanager
-def parent_checkout(revision, tree):
-    """A checkout of `revision`: `tree` as it is when given, else a
-    temporary `git worktree`, removed on exit."""
-    if tree is not None:
-        yield Path(tree)
-        return
+def parent_checkout(repo, revision):
+    """The files of `revision` in the git repository `repo`, exported with
+    `git archive` into a temporary directory that is removed on exit."""
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        path = Path(tmp) / "parent"
-        git = ["git", "-C", str(ROOT), "worktree"]
-        subprocess.run([*git, "add", "--detach", str(path), revision], check=True,
-                       capture_output=True)
-        try:
-            yield path
-        finally:
-            subprocess.run([*git, "remove", "--force", str(path)], check=True,
-                           capture_output=True)
+        tar = subprocess.run(["git", "-C", str(repo), "archive", "--format=tar", revision],
+                             capture_output=True, check=True).stdout
+        subprocess.run(["tar", "-x", "-C", tmp], input=tar, capture_output=True, check=True)
+        yield Path(tmp)
 
 
 def _values(metrics, wanted):
@@ -103,7 +95,7 @@ def _values(metrics, wanted):
     return {name: metrics[name]["value"] for name in wanted if name in metrics}
 
 
-def record(args, end_to_end, results):
+def record(args, seconds, end_to_end, results):
     """The `BENCH_<n>.json` document for the pairs run so far."""
     wanted = [spec["name"] for spec in end_to_end]
     workloads = {}
@@ -129,9 +121,9 @@ def record(args, end_to_end, results):
     return {
         "change": args.change,
         "command": (
-            f"python3 bench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0"
+            f"python3 bench/run.py --workload W --seed S --seconds {seconds:g} --trace 0"
         ),
-        "seconds": args.seconds,
+        "seconds": seconds,
         "order": "parent first on even seeds, change first on odd seeds",
         "host": args.host,
         "statistic": (
@@ -146,36 +138,29 @@ def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent")
     parser.add_argument("--out", required=True, help="the BENCH_<n>.json file to write")
-    parser.add_argument("--workloads", nargs="+", default=["short", "long"])
-    parser.add_argument("--first-seed", type=int, default=101)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="seconds a run (default: BENCHMARK.json's run_seconds)")
     parser.add_argument("--change", default="", help="what the change does, for the record")
     parser.add_argument("--host", default="", help="the machine and Python, for the record")
-    parser.add_argument("--parent-tree", default=None,
-                        help="an existing checkout of the parent, used instead of a worktree")
     return parser.parse_args(argv)
 
 
 def main(argv=None):
     args = parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    if args.seconds is None:
-        args.seconds = spec["run_seconds"]
+    seconds = spec["run_seconds"]
+    workloads = [workload["name"] for workload in spec["workloads"]]
     out = Path(args.out)
-    results = {workload: [] for workload in args.workloads}
-    with parent_checkout(args.parent, args.parent_tree) as parent:
-        for seed in range(args.first_seed, args.first_seed + args.pairs):
-            for workload in args.workloads:
+    results = {workload: [] for workload in workloads}
+    with parent_checkout(ROOT, args.parent) as parent:
+        for seed in SEEDS:
+            for workload in workloads:
                 sides = {}
                 order = ("parent", "change") if seed % 2 == 0 else ("change", "parent")
                 for side in order:
                     tree = parent if side == "parent" else ROOT
-                    sides[side] = run_bench(tree, workload, seed, args.seconds)
+                    sides[side] = run_bench(tree, workload, seed, seconds)
                 results[workload].append((seed, {s: sides[s] for s in ("parent", "change")}))
-                out.write_text(json.dumps(record(args, spec["end_to_end"], results), indent=1)
-                               + "\n", encoding="utf-8")
+                out.write_text(json.dumps(record(args, seconds, spec["end_to_end"], results),
+                                          indent=1) + "\n", encoding="utf-8")
                 print(f"{workload} seed {seed}: " + ", ".join(
                     f"{side} {sides[side]['metrics']['tokens_per_s']['value']:.1f} tok/s"
                     for side in ("parent", "change")), flush=True)

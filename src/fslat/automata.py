@@ -907,12 +907,13 @@ def _register_product(a, start, b):
 
     Most pairs of a lattice-shaped `a` sit on unary runs, where `a`'s state
     is not final and has one edge.  A run is stepped in a loop, one lookup
-    in `b` per label symbol.  When `a` is a chain, a class with a
-    `run_syms` symbol is stepped from that entry alone: its edge tuple and
-    one lookup in `b`.  Any other state is tested for one edge and
-    finality, and a label of several symbols is looked up symbol by
-    symbol; a DFA `a` has no `run_syms`, so all its states take this
-    path.  The run goes on while the symbols `b` can step all reach one
+    in `b` per label symbol.  A state with a `run_syms` symbol is stepped
+    from that entry alone: its edge tuple and one lookup in `b`.  A chain
+    `a` carries its `run_syms`; for a DFA `a` the walk first finds them in
+    one pass over its states, by the same rule.  Any other state is tested
+    for one edge and finality, and its label, which then holds several
+    symbols, is looked up symbol by symbol.  The run goes on while the
+    symbols `b` can step all reach one
     state of `b`; when some symbols die, the pair's label is narrowed to
     the rest.  The run stops at the first pair whose `a`-state
     branches or is final, whose label `b` splits over two or more states,
@@ -945,7 +946,14 @@ def _register_product(a, start, b):
     b_finals = b.finals
     nb = len(b_index)
     marks = isinstance(a, Dfa)  # mark pairs on the stack: only a DFA can hold a cycle
-    a_run_syms = [-1] * len(a_transitions) if marks else a.run_syms
+    if marks:  # a DFA's states get the entries a chain's classes carry
+        a_run_syms = [
+            min(edges[0][0]) if len(edges) == 1 and len(edges[0][0]) == 1 and s not in a_finals
+            else -1
+            for s, edges in enumerate(a_transitions)
+        ]
+    else:
+        a_run_syms = a.run_syms
     on_stack = -2  # class of a pair whose successors are still being walked
     root = start * nb
     cls = {root: on_stack} if marks else {}  # pair key -> class id, or -1 once dead
@@ -964,29 +972,25 @@ def _register_product(a, start, b):
             c = None
             while True:
                 sym = a_run_syms[sa]
-                if sym >= 0:  # a non-final chain class with one one-symbol edge
+                if sym >= 0:  # a non-final state with one one-symbol edge
                     label, da = a_transitions[sa][0]
                     db = b_index[sb].get(sym)
                 else:
                     a_edges = a_transitions[sa]
                     if len(a_edges) != 1 or sa in a_finals:
                         break
-                    label, da = a_edges[0]
+                    label, da = a_edges[0]  # a label of several symbols
                     b_table = b_index[sb]
-                    if len(label) == 1:  # a DFA's one-symbol label
-                        (sym,) = label
-                        db = b_table.get(sym)
-                    else:
-                        dbs = set(map(b_table.get, label))
-                        if None in dbs:  # some symbols die: narrow to the rest
-                            dbs.discard(None)
-                            if len(dbs) == 1:
-                                label = frozenset([s for s in label if s in b_table])
-                                if len(label) == 1:
-                                    (sym,) = label
-                        if len(dbs) > 1:  # the label splits: the pair branches
-                            break
-                        db = dbs.pop() if dbs else None
+                    dbs = set(map(b_table.get, label))
+                    if None in dbs:  # some symbols die: narrow to the rest
+                        dbs.discard(None)
+                        if len(dbs) == 1:
+                            label = frozenset([s for s in label if s in b_table])
+                            if len(label) == 1:
+                                (sym,) = label
+                    if len(dbs) > 1:  # the label splits: the pair branches
+                        break
+                    db = dbs.pop() if dbs else None
                 run.append((key, label, sym))
                 if db is None:  # `b` cannot step the label: the run is dead
                     c = -1

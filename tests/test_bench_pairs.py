@@ -1,6 +1,8 @@
-"""The summary step of `scripts/bench_pairs.py`, on hand-made pairs."""
+"""`scripts/bench_pairs.py`: its summary step on hand-made pairs, and its
+parent export on a small git repository."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -66,3 +68,24 @@ def test_one_pair_has_its_value_as_both_quartiles(bench_pairs):
     got = bench_pairs.summarize(_pairs([7.0], [8.0], [1.0], [2.0]), END_TO_END)
     assert got["tokens_per_s"]["parent_quartiles"] == [7.0, 7.0]
     assert got["setup_s"]["change_wins"] == 0
+
+
+def test_parent_checkout_exports_the_revision_and_removes_it(bench_pairs, tmp_path):
+    repo = tmp_path / "repo"
+    (repo / "bench").mkdir(parents=True)
+    run = repo / "bench" / "run.py"
+    run.write_text("parent\n", encoding="utf-8")
+
+    def git(*args):
+        subprocess.run(["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t",
+                        *args], check=True, capture_output=True)
+
+    git("init", "-q")
+    git("add", "bench/run.py")
+    git("commit", "-q", "-m", "parent")
+    run.write_text("change\n", encoding="utf-8")  # the working tree moves on
+    with bench_pairs.parent_checkout(repo, "HEAD") as tree:
+        assert (tree / "bench" / "run.py").read_text(encoding="utf-8") == "parent\n"
+        assert not (tree / ".git").exists()
+    assert not tree.exists()
+    assert run.read_text(encoding="utf-8") == "change\n"
