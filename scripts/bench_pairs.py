@@ -15,8 +15,17 @@ The output file lists every pair's end-to-end values and, per workload and
 metric, the parent's and the change's median, their quartiles
 (`statistics.quantiles`, n=4) and `change_wins`, the number of pairs in
 which the change reads better, with "better" taken from `BENCHMARK.json`.
+Two verdicts follow from those:
+
+- `claim_met`: the change wins at least 9 pairs in 10, and its median is
+  better than the parent's by more than the parent's quartile distance;
+- `within_bound`: the change's median is not worse than the parent's by
+  more than the metric's `bound` in `BENCHMARK.json`, a fraction of the
+  parent's median.
+
 It is rewritten after every pair, so an interrupted run keeps the pairs it
-finished.  Stdlib only.
+finished, and each pair prints one progress line with every end-to-end
+metric of both sides.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -37,9 +46,9 @@ DIGITS = 4
 
 def summarize(pairs, end_to_end):
     """Per metric of `end_to_end` (BENCHMARK.json's list), the medians,
-    quartiles and change wins over `pairs`, each a dict with the `parent`
-    and `change` runs' `{metric: value}`.  A metric that some run lacks is
-    left out."""
+    quartiles, change wins and the two verdicts over `pairs`, each a dict
+    with the `parent` and `change` runs' `{metric: value}`.  A metric that
+    some run lacks is left out."""
     metrics = {}
     for spec in end_to_end:
         name = spec["name"]
@@ -47,26 +56,29 @@ def summarize(pairs, end_to_end):
             continue
         parent = [pair["parent"][name] for pair in pairs]
         change = [pair["change"][name] for pair in pairs]
-        if spec["better"] == "higher":
-            wins = sum(c > p for p, c in zip(parent, change))
-        else:
-            wins = sum(c < p for p, c in zip(parent, change))
+        sign = 1 if spec["better"] == "higher" else -1  # > 0 where the change is better
+        wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+        parent_median, change_median = statistics.median(parent), statistics.median(change)
+        gain = sign * (change_median - parent_median)
+        q1, q3 = _quartiles(parent)
         metrics[name] = {
             "unit": spec["unit"],
-            "parent": round(statistics.median(parent), DIGITS),
-            "change": round(statistics.median(change), DIGITS),
-            "parent_quartiles": _quartiles(parent),
-            "change_quartiles": _quartiles(change),
+            "parent": round(parent_median, DIGITS),
+            "change": round(change_median, DIGITS),
+            "parent_quartiles": [round(q, DIGITS) for q in (q1, q3)],
+            "change_quartiles": [round(q, DIGITS) for q in _quartiles(change)],
             "change_wins": wins,
+            "claim_met": 10 * wins >= 9 * len(pairs) and gain > q3 - q1,
+            "within_bound": -gain <= spec["bound"] * parent_median,
         }
     return metrics
 
 
 def _quartiles(values):
     if len(values) < 2:
-        return [round(values[0], DIGITS)] * 2
+        return [values[0]] * 2
     q1, _, q3 = statistics.quantiles(values, n=4)
-    return [round(q1, DIGITS), round(q3, DIGITS)]
+    return [q1, q3]
 
 
 def run_bench(tree, workload, seed, seconds):
@@ -93,6 +105,18 @@ def parent_checkout(repo, revision):
 def _values(metrics, wanted):
     """The values of the `wanted` metrics in a run's `metrics`."""
     return {name: metrics[name]["value"] for name in wanted if name in metrics}
+
+
+def progress_line(workload, seed, sides, wanted):
+    """One pair's line: each `wanted` metric's parent and change values,
+    from the `sides` runs' `metrics`."""
+    values = {side: _values(run["metrics"], wanted) for side, run in sides.items()}
+    shown = [
+        f"{name} {values['parent'][name]:.4g} -> {values['change'][name]:.4g}"
+        for name in wanted
+        if name in values["parent"] and name in values["change"]
+    ]
+    return f"{workload} seed {seed}: " + ", ".join(shown)
 
 
 def record(args, seconds, end_to_end, results):
@@ -128,7 +152,10 @@ def record(args, seconds, end_to_end, results):
         "host": args.host,
         "statistic": (
             "median over the pairs, with quartiles (statistics.quantiles, n=4); change_wins "
-            "counts pairs where the change reads better; pairs lists every pair's values"
+            "counts pairs where the change reads better; claim_met: at least 9 wins in 10 "
+            "and a median gain over the parent's quartile distance; within_bound: the "
+            "change's median no worse than the parent's by more than BENCHMARK.json's "
+            "bound; pairs lists every pair's values"
         ),
         "workloads": workloads,
     }
@@ -148,6 +175,7 @@ def main(argv=None):
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = spec["run_seconds"]
     workloads = [workload["name"] for workload in spec["workloads"]]
+    wanted = [metric["name"] for metric in spec["end_to_end"]]
     out = Path(args.out)
     results = {workload: [] for workload in workloads}
     with parent_checkout(ROOT, args.parent) as parent:
@@ -161,9 +189,7 @@ def main(argv=None):
                 results[workload].append((seed, {s: sides[s] for s in ("parent", "change")}))
                 out.write_text(json.dumps(record(args, seconds, spec["end_to_end"], results),
                                           indent=1) + "\n", encoding="utf-8")
-                print(f"{workload} seed {seed}: " + ", ".join(
-                    f"{side} {sides[side]['metrics']['tokens_per_s']['value']:.1f} tok/s"
-                    for side in ("parent", "change")), flush=True)
+                print(progress_line(workload, seed, sides, wanted), flush=True)
     return 0
 
 

@@ -508,14 +508,31 @@ def compile_rule(rule, alphabet):
     non-violating strings over `alphabet`, resolved by `resolve_rule`.
 
     Every pattern goes straight to a DFA by `automata.pattern_dfa`.
-    Implication rules use a marker construction: violating strings are
-    those factorizable as u x v with x in the target and no context
-    licensing (u, v); both occurrence ends are marked with a scratch
-    symbol, each context's licensed markings are subtracted by one
-    `difference` product, and the marked violations are minimized before
-    `erase_symbol` erases the markers by a subset construction, which
-    this keeps small.  Reject rules compile directly to the complement of
-    sigma* pattern sigma*.
+    Reject rules compile directly to the complement of sigma* pattern
+    sigma*.  Implication rules take one of two constructions, chosen by
+    `_compile_implication`:
+
+    - A rule whose target is one symbol set and whose every context has
+      an empty or nullable right side (18 of the 48 demo rules: `@MV`,
+      `@CS`, `INF`, `OBJ@`, ...) is compiled without markers by
+      `_compile_left_context`: one DFA of sigma* followed by any left
+      side tells, after each prefix, whether an occurrence right there is
+      licensed, and the target's symbols are struck from the states where
+      it is not.
+    - Every other rule (right or two-sided contexts such as `Subject` and
+      `@/`, or a longer target) uses the marker construction, the general
+      restriction operator (Kaplan & Kay 1994): violating strings are
+      those factorizable as u x v with x in the target and no context
+      licensing (u, v); both occurrence ends are marked with a scratch
+      symbol, each context's licensed markings are subtracted by one
+      `difference` product, and the marked violations are minimized
+      before `erase_symbol` erases the markers by a subset construction,
+      which this keeps small.
+
+    Both end in `minimize`, whose output is the canonical minimal DFA of
+    the rule's language, so the two give the same DFA for any rule both
+    can compile; the marker construction stays the referee for the other
+    (`tests/util.marker_compile`).
 
     The construction runs over the rule's own blocks (`rule_blocks`), one
     symbol per block, not over `alphabet`: symbols of one block occur in
@@ -552,6 +569,11 @@ def _compile_reject(rule, alphabet):
 
 
 def _compile_implication(rule, alphabet):
+    """The DFA of the strings that `rule`, resolved over `alphabet`, does
+    not reject.  A one-symbol target with only left contexts goes to
+    `_compile_left_context`; a context whose right side is nullable
+    licenses every right side, as an empty one does.  Every other rule
+    takes the marker construction (`compile_rule`)."""
     target = rule.target
     if nullable(target):
         raise GrammarCompileError(
@@ -559,6 +581,8 @@ def _compile_implication(rule, alphabet):
             "occurrence positions would be ill-defined",
             rule.line,
         )
+    if isinstance(target, Syms) and all(nullable(right) for _, right in rule.contexts):
+        return _compile_left_context(rule, alphabet)
     scratch = alphabet.extended(_MARK)
     mark = scratch.id_of(_MARK)
     base_star = _any_star(alphabet)  # marker-free sigma*
@@ -580,6 +604,34 @@ def _compile_implication(rule, alphabet):
     violating = erase_symbol(minimize(bad), mark)
     violating = Dfa(alphabet, violating.transitions, violating.finals)
     return minimize(complement(violating))
+
+
+def _compile_left_context(rule, alphabet):
+    """`_compile_implication` for a target that is one symbol set and
+    contexts that each license any right side.
+
+    Such a rule rejects a string iff some occurrence of a target symbol
+    follows a prefix u in no sigma* L_i.  The position construction of
+    sigma* (L_1 | ... | L_n) is complete: every state holds the sigma*
+    position, which steps every symbol back to itself.  After reading u
+    it is in a final state iff u is in some sigma* L_i.  So with the
+    target's symbols struck from the edges of its non-final states and
+    every state made final, it accepts exactly the rule's strings;
+    `minimize` makes it the canonical minimal DFA, the one the marker
+    construction gives."""
+    ids = rule.target.ids
+    if not ids:
+        raise GrammarCompileError(
+            f"rule {rule.name!r}: target denotes the empty language", rule.line
+        )
+    lefts = Alt(tuple(left for left, _ in rule.contexts))
+    licensed = pattern_dfa(Seq((_any_star(alphabet), lefts)), alphabet)
+    transitions = [
+        edges if state in licensed.finals
+        else [(label - ids, dst) for label, dst in edges if not label <= ids]
+        for state, edges in enumerate(licensed.transitions)
+    ]
+    return minimize(Dfa(alphabet, transitions, range(len(transitions))))
 
 
 def _any_star(alphabet):

@@ -47,6 +47,8 @@ def test_medians_quartiles_and_wins_follow_the_direction_of_better(bench_pairs):
         "parent_quartiles": [105.0, 135.0],  # statistics.quantiles, exclusive method
         "change_quartiles": [115.0, 155.0],
         "change_wins": 4,  # 105 < 110 is the one loss
+        "claim_met": False,  # 4 wins in 5 is under 9 in 10
+        "within_bound": True,
     }
     setup = got["setup_s"]
     assert (setup["parent"], setup["change"]) == (0.3, 0.3)
@@ -89,3 +91,51 @@ def test_parent_checkout_exports_the_revision_and_removes_it(bench_pairs, tmp_pa
         assert not (tree / ".git").exists()
     assert not tree.exists()
     assert run.read_text(encoding="utf-8") == "change\n"
+
+
+def test_claim_needs_nine_wins_in_ten_and_a_gain_over_the_parent_spread(bench_pairs):
+    parent = [1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9]
+    faster = [p - 0.5 for p in parent]
+    got = bench_pairs.summarize(_pairs(parent, parent, parent, faster), END_TO_END)
+    setup = got["setup_s"]
+    assert setup["change_wins"] == 10
+    assert setup["parent_quartiles"] == [1.175, 1.725]  # a distance of 0.55 > 0.5
+    assert (setup["claim_met"], setup["within_bound"]) == (False, True)
+
+    faster = [p - 0.7 for p in parent]
+    faster[3] = parent[3] + 0.1  # one loss in ten
+    setup = bench_pairs.summarize(_pairs(parent, parent, parent, faster), END_TO_END)["setup_s"]
+    assert (setup["change_wins"], setup["claim_met"]) == (9, True)
+    faster[4] = parent[4] + 0.1  # a second loss
+    setup = bench_pairs.summarize(_pairs(parent, parent, parent, faster), END_TO_END)["setup_s"]
+    assert (setup["change_wins"], setup["claim_met"]) == (8, False)
+    # a tie reads as no gain
+    assert not bench_pairs.summarize(_pairs(parent, parent, parent, parent),
+                                     END_TO_END)["tokens_per_s"]["claim_met"]
+
+
+def test_within_bound_is_a_fraction_of_the_parent_median_in_the_worse_direction(bench_pairs):
+    parent = [100.0, 100.0, 100.0]
+    # tokens_per_s: higher is better, bound 0.24
+    at_bound = bench_pairs.summarize(_pairs(parent, [76.0] * 3, [1.0] * 3, [1.0] * 3),
+                                     END_TO_END)
+    assert at_bound["tokens_per_s"]["within_bound"]
+    over = bench_pairs.summarize(_pairs(parent, [75.0] * 3, [1.0] * 3, [1.0] * 3), END_TO_END)
+    assert not over["tokens_per_s"]["within_bound"]
+    # setup_s: lower is better, bound 0.25
+    slower = bench_pairs.summarize(_pairs(parent, parent, [0.4] * 3, [0.5] * 3), END_TO_END)
+    assert slower["setup_s"]["within_bound"]
+    slower = bench_pairs.summarize(_pairs(parent, parent, [0.4] * 3, [0.51] * 3), END_TO_END)
+    assert not slower["setup_s"]["within_bound"]
+    assert bench_pairs.summarize(_pairs(parent, [500.0] * 3, [0.4] * 3, [0.01] * 3),
+                                 END_TO_END)["setup_s"]["within_bound"]
+
+
+def test_progress_line_shows_every_end_to_end_metric(bench_pairs):
+    def run(tps, setup):
+        return {"metrics": {"tokens_per_s": {"value": tps}, "setup_s": {"value": setup},
+                            "lattice.states": {"value": 9}}}
+
+    sides = {"change": run(2053.25, 0.0448), "parent": run(1931.5, 0.0565)}
+    line = bench_pairs.progress_line("short", 101, sides, ["tokens_per_s", "setup_s"])
+    assert line == "short seed 101: tokens_per_s 1932 -> 2053, setup_s 0.0565 -> 0.0448"
