@@ -178,10 +178,11 @@ class Dfa:
     set (`_trigger`, see `trigger_symbols`), which only a rule needs.  The
     third is a mark set where the DFA is built: `_trimmed` is true when
     the builder (`trim`, `minimize`, `reduce_acyclic`, `complement`,
-    `difference`, `intersect` or `Chain.dfa`) knows the DFA to be trim
-    and canonically numbered, so `trim` returns it as it is.  A DFA built
-    any other way, by hand or by `pattern_dfa`, `erase_symbol` or
-    `expand_blocks`, is left unmarked, and `trim` trims it."""
+    `difference`, `intersect`, `Chain.dfa` or `lattice.build_lattice`)
+    knows the DFA to be trim and canonically numbered, so `trim` returns
+    it as it is.  A DFA built any other way, by hand or by `pattern_dfa`,
+    `erase_symbol` or `expand_blocks`, is left unmarked, and `trim` trims
+    it."""
 
     __slots__ = ("alphabet", "transitions", "finals", "_index", "_trigger", "_trimmed")
 
@@ -509,7 +510,7 @@ def _useful(dfa):
 def _topological(dfa):
     """A topological order of the states of the trim `dfa`, by Kahn's
     algorithm, or None if it has a cycle.  The one topological sort:
-    `count_paths` and `reduce_acyclic` run it."""
+    `count_paths`, `reduce_acyclic` and `Chain` run it."""
     transitions = dfa.transitions
     indeg = [0] * len(transitions)
     for edges in transitions:
@@ -767,8 +768,8 @@ def difference(a, b):
 class Chain:
     """An acyclic language on its way through a chain of intersections.
 
-    A chain holds the register's classes in the order the walk settled
-    them: `transitions[c]` is the tuple of class `c`'s `(label, successor)`
+    A chain holds the register's classes in the order they were created:
+    `transitions[c]` is the tuple of class `c`'s `(label, successor)`
     edges, as in a `Dfa` (the empty chain is `[()]`), successors have
     smaller ids than `c`, `finals` is the set of accepting
     classes, `start` the start class and `count` the number of strings.  A
@@ -776,21 +777,24 @@ class Chain:
     numbers it, once, at the end.
 
     `symbols` holds every symbol on the chain's edges (it may hold more,
-    never fewer), collected by the walk as it creates classes.  A step
+    never fewer), collected as the classes are created.  A step
     whose rule has a trigger set (`Dfa.trigger_symbols`) and none of its
     symbols among them is skipped: every string of the chain avoids the
     trigger set, so the rule accepts it.
 
     `run_syms[c]` is the symbol id of class `c`'s one edge when `c` is not
     final and has one edge whose label holds one symbol, and -1 for every
-    other class (the empty chain's is `[-1]`).  The walk that creates a
-    class fills its entry, so a later step reads one list entry where it
-    would test the class's edges, finality and label size.
+    other class (the empty chain's is `[-1]`).  Whatever creates a class
+    fills its entry, so a later step reads one list entry where it would
+    test the class's edges, finality and label size.
 
-    `Chain(dfa)` reduces, trims and counts an acyclic DFA by the walk a
-    step runs, against a one-state Sigma* DFA.  Raises
-    InfiniteLanguageError if the walk meets a cycle.  A chain is acyclic
-    by construction, so a step's walk looks for no cycle.
+    `Chain(dfa)` reduces, trims and counts an acyclic DFA in one register
+    pass (Revuz 1992), as `reduce_acyclic` does: the states of `trim(dfa)`
+    are registered in reverse topological order, successors first, under
+    their finality and their edges merged by class.  A class's count,
+    `symbols` and `run_syms` entry are filled as it is created.  Raises
+    InfiniteLanguageError for a useful cycle; a dead one is trimmed away.
+    A chain is acyclic by construction, so a step's walk looks for none.
 
     The walk (`_register_product`) steps each unary run of the chain, a
     row of one-edge, non-final classes, in a loop, whatever the size of
@@ -805,9 +809,31 @@ class Chain:
     __slots__ = ("alphabet", "transitions", "finals", "start", "count", "symbols", "run_syms")
 
     def __init__(self, dfa):
-        alphabet = dfa.alphabet
-        sigma_star = Dfa(alphabet, (((alphabet.id_set(), 0),),), (0,))
-        self._settle(alphabet, _register_product(dfa, 0, sigma_star))
+        d = trim(dfa)  # free for a lattice, which `build_lattice` marks trim
+        order = _topological(d)
+        if order is None:
+            raise InfiniteLanguageError("automaton accepts an infinite language")
+        cls = [0] * d.n_states
+        register = {}  # (final, frozenset of merged edges) -> class id
+        transitions, finals, counts, symbols, run_syms = [], set(), [], set(), []
+        for state in reversed(order):
+            final = state in d.finals
+            edges = tuple(_merge_by_class(d.transitions[state], cls))
+            c = cls[state] = register.setdefault((final, frozenset(edges)), len(transitions))
+            if c < len(transitions):  # an equivalent state made the class
+                continue
+            transitions.append(edges)
+            count = 1 if final else 0
+            for label, succ in edges:
+                count += len(label) * counts[succ]
+                symbols |= label
+            counts.append(count)
+            if final:
+                finals.add(c)
+            one_symbol = not final and len(edges) == 1 and len(edges[0][0]) == 1
+            run_syms.append(min(edges[0][0]) if one_symbol else -1)
+        start = cls[0]
+        self._settle(d.alphabet, (transitions, finals, start, counts[start], symbols, run_syms))
 
     def _settle(self, alphabet, walked):
         self.alphabet = alphabet
@@ -826,7 +852,7 @@ class Chain:
         trigger = b.trigger_symbols()
         if (trigger is not None and self.symbols.isdisjoint(trigger)) or _contained(self, b):
             return self, self.count
-        walked = _register_product(self, self.start, b)
+        walked = _register_product(self, b)
         chain = Chain.__new__(Chain)._settle(self.alphabet, walked)
         return chain, chain.count
 
@@ -889,11 +915,11 @@ def _contained(chain, b):
     return True
 
 
-def _register_product(a, start, b):
+def _register_product(chain, b):
     """`(transitions, finals, start, count, symbols, run_syms)` of the
-    chain of L(a) & L(b), for `a` a DFA or chain entered at state `start`,
-    in one product walk.  `symbols` is the union of the labels of the
-    classes the walk creates, and `run_syms` their `Chain.run_syms`.
+    chain of L(chain) & L(b), in one product walk from `chain.start`.
+    `symbols` is the union of the labels of the classes the walk creates,
+    and `run_syms` their `Chain.run_syms`.
 
     Product pairs are walked depth-first with an explicit stack.  A pair is
     settled once all its successors are: edges into dead pairs are dropped,
@@ -902,61 +928,45 @@ def _register_product(a, start, b):
     share one class (Daciuk, Mihov, Watson & Watson 2000).  A pair with no
     path to a final state dies on the spot.  Each class carries its path
     count.  The resulting chain's `dfa()` equals
-    `reduce_acyclic(intersect(a, b))`, and is `empty_dfa` when nothing
-    survives.
+    `reduce_acyclic(intersect(chain.dfa(), b))`, and is `empty_dfa` when
+    nothing survives.  A chain is acyclic, so its product is too: a pair
+    reached again is already settled, and the walk looks for no cycle.
 
-    Most pairs of a lattice-shaped `a` sit on unary runs, where `a`'s state
-    is not final and has one edge.  A run is stepped in a loop, one lookup
-    in `b` per label symbol.  A state with a `run_syms` symbol is stepped
-    from that entry alone: its edge tuple and one lookup in `b`.  A chain
-    `a` carries its `run_syms`; for a DFA `a` the walk first finds them in
-    one pass over its states, by the same rule.  Any other state is tested
-    for one edge and finality, and its label, which then holds several
-    symbols, is looked up symbol by symbol.  The run goes on while the
-    symbols `b` can step all reach one
-    state of `b`; when some symbols die, the pair's label is narrowed to
-    the rest.  The run stops at the first pair whose `a`-state
-    branches or is final, whose label `b` splits over two or more states,
-    or that is already settled, and it dies where `b` can step none of a
-    label's symbols.  Only a pair that branches or splits gets a stack
-    frame, which carries the run, and the run's pairs are settled after
-    it, last first.  So a step's cost follows the branching pairs, plus
-    one lookup per symbol on the runs.  Wherever it is settled, a
-    non-final class with one merged edge `(label, successor class)` is
-    registered under that edge, so equal right languages share one class
-    either way, and its edges are `(edge,)`: the register key is the edge.
-    Such a class with a one-symbol label shares its successor's count and
-    takes its symbol as its `run_syms` entry, which the run already knows.
-    Every other class's edges are a tuple too, and their frozenset, with
-    the class's finality, is its register key; its entry is -1.
+    Most pairs of a lattice-shaped chain sit on unary runs, where the
+    class is not final and has one edge.  A run is stepped in a loop, one
+    lookup in `b` per label symbol.  A class with a `run_syms` symbol is
+    stepped from that entry alone: its edge tuple and one lookup in `b`.
+    Any other class is tested for one edge and finality, and its label,
+    which then holds several symbols, is looked up symbol by symbol.  The
+    run goes on while the symbols `b` can step all reach one state of `b`;
+    when some symbols die, the pair's label is narrowed to the rest.  The
+    run stops at the first pair whose class branches or is final, whose
+    label `b` splits over two or more states, or that is already settled,
+    and it dies where `b` can step none of a label's symbols.  Only a pair
+    that branches or splits gets a stack frame, which carries the run, and
+    the run's pairs are settled after it, last first.  So a step's cost
+    follows the branching pairs, plus one lookup per symbol on the runs.
+    Wherever it is settled, a non-final class with one merged edge
+    `(label, successor class)` is registered under that edge, so equal
+    right languages share one class either way, and its edges are
+    `(edge,)`: the register key is the edge.  Such a class with a
+    one-symbol label shares its successor's count and takes its symbol as
+    its `run_syms` entry, which the run already knows.  Every other
+    class's edges are a tuple too, and their frozenset, with the class's
+    finality, is its register key; its entry is -1.
 
     A pair `(sa, sb)` is keyed as the int `sa * nb + sb`, `nb` the number
     of `b`'s states, so no pair's key is a tuple to build and hash.
-
-    When `a` is a DFA (`Chain(dfa)`), a pair whose successors are still
-    being walked is marked, and InfiniteLanguageError is raised if the
-    walk meets a marked pair, that is a cycle; the product of an acyclic
-    `a` has none.  A chain `a` is acyclic by construction, so its products
-    are too, and no marks are written.
     """
-    product = _product_edges(a, b)
-    a_transitions = a.transitions
-    a_finals = a.finals
+    product = _product_edges(chain, b)
+    a_transitions = chain.transitions
+    a_finals = chain.finals
+    a_run_syms = chain.run_syms
     b_index = b._symbol_index()
     b_finals = b.finals
     nb = len(b_index)
-    marks = isinstance(a, Dfa)  # mark pairs on the stack: only a DFA can hold a cycle
-    if marks:  # a DFA's states get the entries a chain's classes carry
-        a_run_syms = [
-            min(edges[0][0]) if len(edges) == 1 and len(edges[0][0]) == 1 and s not in a_finals
-            else -1
-            for s, edges in enumerate(a_transitions)
-        ]
-    else:
-        a_run_syms = a.run_syms
-    on_stack = -2  # class of a pair whose successors are still being walked
-    root = start * nb
-    cls = {root: on_stack} if marks else {}  # pair key -> class id, or -1 once dead
+    root = chain.start * nb
+    cls = {}  # pair key -> class id, or -1 once dead
     unary = {}  # (label, successor class) -> id of a non-final one-edge class
     register = {}  # (final, frozenset of edges) -> id of other classes
     transitions = []  # the tuple of merged edges of each class, by class id
@@ -965,14 +975,14 @@ def _register_product(a, start, b):
     symbols = set()  # every symbol on the new classes' edges
     run_syms = []  # `Chain.run_syms` of the new classes, by class id
     stack = []  # frames (pair key, sa, sb, product edges, their iterator, run into pair)
-    key, sa, sb = root, start, 0  # a newly reached pair, marked on_stack, to be entered
+    key, sa, sb = root, chain.start, 0  # a newly reached pair, to be entered
     while True:
         if key is not None:  # step the unary run from the pair
             run = []  # (pair key, label, its one symbol or -1) of each pair stepped, in order
             c = None
             while True:
                 sym = a_run_syms[sa]
-                if sym >= 0:  # a non-final state with one one-symbol edge
+                if sym >= 0:  # a non-final class with one one-symbol edge
                     label, da = a_transitions[sa][0]
                     db = b_index[sb].get(sym)
                 else:
@@ -999,11 +1009,7 @@ def _register_product(a, start, b):
                 key = da * nb + db
                 c = cls.get(key)
                 if c is not None:
-                    if c == on_stack:
-                        raise InfiniteLanguageError("the product walk met a cycle")
                     break
-                if marks:
-                    cls[key] = on_stack
             if c is None:  # the run ends at a pair that branches or splits its label
                 edges = product(sa, sb)
                 stack.append((key, sa, sb, edges, iter(edges), run))
@@ -1014,14 +1020,9 @@ def _register_product(a, start, b):
             top, ta, tb, edges, targets, run = stack[-1]
             for sa, sb in targets:  # enter the first successor not yet reached
                 t = sa * nb + sb
-                c = cls.get(t)
-                if c is None:
-                    if marks:
-                        cls[t] = on_stack
+                if t not in cls:
                     key = t
                     break
-                if c == on_stack:
-                    raise InfiniteLanguageError("the product walk met a cycle")
             if key is not None:
                 continue
             stack.pop()  # every successor is settled: settle `top`

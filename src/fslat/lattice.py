@@ -249,6 +249,9 @@ def build_lattice(cohorts, registry, alphabet):
     printed symbol sequences coincide share one path.  It is canonically
     numbered, so identical inputs yield identical automata, and trim as
     long as every cohort has a reading, as every `lookup` cohort does.
+    It is marked trim (`Dfa._trimmed`) when every state but the final one
+    has an edge: the start reaches every state, and in an acyclic
+    automaton every path along edges then ends at the final one.
 
     `alphabet` is closed: the rules were compiled over it, so a marker or
     tag it does not hold raises TagError rather than growing it.  So does
@@ -330,11 +333,12 @@ def build_lattice(cohorts, registry, alphabet):
         return state == final, edges
 
     dfa = _canonical(alphabet, 0, expand)
+    dfa._trimmed = all(edges or s in dfa.finals for s, edges in enumerate(dfa.transitions))
     ambiguity = tuple((len(c.readings), c.combinations) for c in cohorts)
     return SentenceLattice(dfa, tuple(cohorts), registry, ambiguity)
 
 
 def reading_count(lattice):
     """Exact number of sentence readings: the count of the lattice's
-    `Chain`, the walk every parse starts with."""
+    `Chain`, which every parse starts from."""
     return Chain(lattice.automaton).count

@@ -326,22 +326,33 @@ class TestIntersectMinimal:
         assert len(got.transitions) == n + 2
 
     def test_unary_cycle_raises(self):
-        # 2 -A-> 3 -B-> 2 is the only cycle, entered from 1 by a run; all
-        # three states are unary and not final
+        # 2 -A-> 3 -B-> 2, entered from 1 by a run; 3 is final, so the
+        # cycle is useful
         alph = Alphabet(["A", "B"])
         a, b = (frozenset(ids(alph, t)) for t in ("A", "B"))
-        dfa = Dfa(alph, [((a, 1), (b, 4)), ((b, 2),), ((a, 3),), ((b, 2),), ()], (4,))
+        dfa = Dfa(alph, [((a, 1), (b, 4)), ((b, 2),), ((a, 3),), ((b, 2),), ()], (4, 3))
         with pytest.raises(InfiniteLanguageError):
             Chain(dfa)
 
     def test_one_symbol_cycle_entered_from_a_branch_raises(self):
-        # 1 -B-> 2 -A-> 1 is the only cycle, entered straight from the
-        # branching start; both its states are unary, one-symbol and not final
+        # 1 -B-> 2 -A-> 1, entered straight from the branching start; 2 is
+        # final, so the cycle is useful
         alph = Alphabet(["A", "B"])
         a, b = (frozenset(ids(alph, t)) for t in ("A", "B"))
-        dfa = Dfa(alph, [((a, 1), (b, 3)), ((b, 2),), ((a, 1),), ()], (3,))
+        dfa = Dfa(alph, [((a, 1), (b, 3)), ((b, 2),), ((a, 1),), ()], (3, 2))
         with pytest.raises(InfiniteLanguageError):
             Chain(dfa)
+
+    def test_dead_cycle_is_trimmed_away(self):
+        # the two DFAs above with no state of the cycle final: no accepting
+        # path enters the cycle, and each accepts only B
+        alph = Alphabet(["A", "B"])
+        a, b = (frozenset(ids(alph, t)) for t in ("A", "B"))
+        for dfa in (
+            Dfa(alph, [((a, 1), (b, 4)), ((b, 2),), ((a, 3),), ((b, 2),), ()], (4,)),
+            Dfa(alph, [((a, 1), (b, 3)), ((b, 2),), ((a, 1),), ()], (3,)),
+        ):
+            assert Chain(dfa).count == count_paths(dfa) == 1
 
 
 class TestContainedRuns:
@@ -435,7 +446,9 @@ class TestRunLabels:
         n = 100_000
         run = Dfa(alph, [((a | b, i + 1),) for i in range(n)] + [()], (n,))
         a_star = Dfa(alph, [((a, 0),)], (0,))
-        transitions, finals, start, count, symbols, run_syms = _register_product(run, 0, a_star)
+        transitions, finals, start, count, symbols, run_syms = _register_product(
+            Chain(run), a_star
+        )
         assert count == 1  # every label narrowed to {A}
         assert symbols == a
         assert len(transitions) == n + 1
@@ -1099,6 +1112,24 @@ def _assert_chain_fold_is_reduced_product_fold(a, rules):
     assert (got.n_states, got.transitions, got.finals) == (
         want.n_states, want.transitions, want.finals,
     )
+
+
+@settings(max_examples=500, deadline=None)
+@given(dfas())
+def test_property_chain_raises_only_for_a_useful_cycle(d):
+    # `dfas()` hold cycles, dead ones among them, which trimming removes
+    try:
+        count = count_paths(d)
+    except InfiniteLanguageError:
+        with pytest.raises(InfiniteLanguageError):
+            Chain(d)
+        return
+    chain = Chain(d)
+    want = minimize(d)
+    assert chain.count == count
+    _assert_chain_is_minimal(chain, want)
+    got = chain.dfa()
+    assert (got.transitions, got.finals) == (want.transitions, want.finals)
 
 
 @settings(max_examples=500, deadline=None)

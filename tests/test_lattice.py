@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fslat import data
+from fslat.automata import Dfa, trim
 from fslat.engine import build_alphabet, decode_readings
 from fslat.lattice import (
     MapError,
@@ -240,6 +241,20 @@ class TestBuildLattice:
             assert dump(got) == dump(want), tokens
             assert (got.transitions, got.finals) == (want.transitions, want.finals)
 
+    def test_marked_trim_when_every_cohort_has_a_reading(self, demo_pipeline):
+        sentences = [tokenize(line) for line in data.read("sample_sentences.txt").splitlines()]
+        for tokens in sentences + [tokenize(data.read("stress39.txt"))]:
+            got = demo_pipeline.lattice_for(tokens).automaton
+            assert got._trimmed, tokens
+            again = trim(Dfa(got.alphabet, got.transitions, got.finals))  # an unmarked copy
+            assert (again.transitions, again.finals) == (got.transitions, got.finals)
+        # a cohort with no reading leaves its word state with no edge
+        (bird,) = demo_pipeline.cohorts_for(tokenize("bird"))
+        for cohorts in ([MappedCohort("bird", ())], [bird, MappedCohort("bird", ())]):
+            lattice = build_lattice(cohorts, demo_pipeline.registry, demo_pipeline.alphabet)
+            assert not lattice.automaton._trimmed
+            assert reading_count(lattice) == 0
+
     def test_deterministic_construction(self, registry, smap):
         cohorts = [
             Cohort("the", (reading("the", (), ("DET", "SG")),)),
@@ -332,3 +347,7 @@ def test_property_lattice_matches_the_nfa_oracle(data_):
     want = nfa_lattice(cohorts, registry, alphabet)
     assert dump(got) == dump(want)
     assert (got.transitions, got.finals) == (want.transitions, want.finals)
+    # marked trim iff trim: a cohort with no reading leaves a dead state
+    assert got._trimmed == all(cohort.readings for cohort in cohorts)
+    again = trim(Dfa(got.alphabet, got.transitions, got.finals))  # an unmarked copy
+    assert got._trimmed == ((again.transitions, again.finals) == (got.transitions, got.finals))
