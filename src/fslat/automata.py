@@ -178,11 +178,12 @@ class Dfa:
     set (`_trigger`, see `trigger_symbols`), which only a rule needs.  The
     third is a mark set where the DFA is built: `_trimmed` is true when
     the builder (`trim`, `minimize`, `reduce_acyclic`, `complement`,
-    `difference`, `intersect`, `Chain.dfa` or `lattice.build_lattice`)
-    knows the DFA to be trim and canonically numbered, so `trim` returns
-    it as it is.  A DFA built any other way, by hand or by `pattern_dfa`,
-    `erase_symbol` or `expand_blocks`, is left unmarked, and `trim` trims
-    it."""
+    `intersect`, `Chain.dfa`, `pattern_dfa` for a pattern with no empty
+    label, or `lattice.build_lattice` for a lattice whose every cohort
+    has a reading) knows the DFA to be trim and canonically numbered, so
+    `trim` returns it as it is.  A DFA built any other way, by hand, by
+    `expand_blocks` or by `pattern_dfa` for a pattern with an empty label
+    or union, is left unmarked, and `trim` trims it."""
 
     __slots__ = ("alphabet", "transitions", "finals", "_index", "_trigger", "_trimmed")
 
@@ -354,7 +355,8 @@ def _subset_edges(moves, close):
     the `(label, target)` edges of the state's members; each symbol goes
     to the set of targets its edges reach, `close` turns that set into the
     target state's key, and symbols with equal keys share one edge.  The
-    one place a subset construction groups symbols by target: the cost
+    subset construction over positions (`_position_dfa`) groups its
+    symbols here.  The cost
     follows the symbols the labels hold, so callers that step wide classes
     pass an alphabet already grouped into blocks (as `grammar.compile_rule`
     does)."""
@@ -372,64 +374,83 @@ def _subset_edges(moves, close):
     return [(frozenset(syms), key) for key, syms in grouped.items()]
 
 
+def _walk_positions(node, labels, follow):
+    """`(nullable, first, last)` of the pattern `node` by the position
+    construction (McNaughton & Yamada 1960; Glushkov 1961).  Each `Syms`
+    leaf is a position, numbered from `len(labels)` on: its symbol set is
+    appended to `labels` and an empty set to `follow`, and the follow
+    pairs inside `node` are added, so that `follow[p]` holds the positions
+    that may come right after p.  An empty union is read as one position
+    whose label is empty, since both denote the empty language.  The one
+    position walk: `pattern_dfa` and `grammar._obligation_dfa` run it."""
+    if isinstance(node, Syms) or (isinstance(node, Alt) and not node.parts):
+        p = len(labels)
+        labels.append(node.ids if isinstance(node, Syms) else frozenset())
+        follow.append(set())
+        return False, {p}, {p}
+    if isinstance(node, Seq):
+        null, first, last = True, set(), set()
+        for part in node.parts:
+            part_null, part_first, part_last = _walk_positions(part, labels, follow)
+            for p in last:
+                follow[p] |= part_first
+            if null:
+                first |= part_first
+            last = part_last | last if part_null else part_last
+            null = null and part_null
+        return null, first, last
+    if isinstance(node, Alt):
+        null, first, last = False, set(), set()
+        for part in node.parts:
+            part_null, part_first, part_last = _walk_positions(part, labels, follow)
+            null = null or part_null
+            first |= part_first
+            last |= part_last
+        return null, first, last
+    if isinstance(node, (Star, Opt)):
+        _, first, last = _walk_positions(node.inner, labels, follow)
+        if isinstance(node, Star):
+            for p in last:
+                follow[p] |= first
+        return True, first, last
+    raise TypeError(f"not a pattern: {node!r}")
+
+
 def pattern_dfa(pat, alphabet):
     """The DFA of the pattern's language, by the position construction
-    (McNaughton & Yamada 1960; Glushkov 1961) with no NFA in between.
+    with no NFA in between.
 
-    Each `Syms` leaf is a position.  One walk over the pattern numbers the
-    positions and computes whether the pattern is nullable and its first
-    and last positions, and for each position the positions that may
-    follow it.  The subset construction then runs over sets of positions:
-    a string that has just matched position p goes on with a position that
-    follows p and whose symbol set holds the next symbol.  The start is the
-    pseudo-position -1, which is followed by the first positions and is
-    accepting iff the pattern is nullable; a set of positions is accepting
-    iff it holds a last position.  A subset's edges depend only on the
-    union of its positions' follow sets, so they are found once per union.
+    `_walk_positions` numbers the positions and finds whether the pattern
+    is nullable, its first and last positions, and each position's follow
+    set.  The subset construction then runs over sets of positions
+    (`_position_dfa`): a string that has just matched position p goes on
+    with a position that follows p and whose symbol set holds the next
+    symbol.  The start is the pseudo-position -1, which is followed by the
+    first positions and is accepting iff the pattern is nullable; a set of
+    positions is accepting iff it holds a last position.
+
+    When no position's label is empty, every position lies on a path to a
+    last one, so every subset reached is useful: the DFA is trim, and it
+    is marked so (`Dfa._trimmed`).
     """
     labels = []  # the symbol set of each position
     follow = []  # the positions that may come right after each position
-
-    def walk(node):
-        """`(nullable, first, last)` of `node`; numbers its positions and
-        adds the follow pairs inside it."""
-        if isinstance(node, Syms):
-            p = len(labels)
-            labels.append(node.ids)
-            follow.append(set())
-            return False, {p}, {p}
-        if isinstance(node, Seq):
-            null, first, last = True, set(), set()
-            for part in node.parts:
-                part_null, part_first, part_last = walk(part)
-                for p in last:
-                    follow[p] |= part_first
-                if null:
-                    first |= part_first
-                last = part_last | last if part_null else part_last
-                null = null and part_null
-            return null, first, last
-        if isinstance(node, Alt):
-            null, first, last = False, set(), set()
-            for part in node.parts:
-                part_null, part_first, part_last = walk(part)
-                null = null or part_null
-                first |= part_first
-                last |= part_last
-            return null, first, last
-        if isinstance(node, (Star, Opt)):
-            _, first, last = walk(node.inner)
-            if isinstance(node, Star):
-                for p in last:
-                    follow[p] |= first
-            return True, first, last
-        raise TypeError(f"not a pattern: {node!r}")
-
-    null, first, last = walk(pat)
+    null, first, last = _walk_positions(pat, labels, follow)
     follow.append(first)  # the start's, as pseudo-position -1
     if null:
         last = last | {-1}
+    dfa = _position_dfa(alphabet, labels, follow, lambda subset: not last.isdisjoint(subset))
+    return _mark_trimmed(dfa) if all(labels) else dfa
 
+
+def _position_dfa(alphabet, labels, follow, final):
+    """The subset construction over sets of positions, from the set of
+    the pseudo-position -1, whose follow set is `follow[-1]`; a set is
+    accepting iff `final(set)` is true, which is called once per set in
+    the order `_canonical` numbers them.  A subset's edges depend only on
+    the union of its positions' follow sets, so they are found once per
+    union.  `pattern_dfa` and the left sides of `grammar._obligation_dfa`
+    run it."""
     reached = {}  # union of follow sets -> its subset edges
 
     def expand(subset):
@@ -437,46 +458,17 @@ def pattern_dfa(pat, alphabet):
         edges = reached.get(reach)
         if edges is None:
             edges = reached[reach] = _subset_edges(((labels[q], q) for q in reach), frozenset)
-        return not last.isdisjoint(subset), list(edges)  # `_canonical` sorts it in place
+        return final(subset), list(edges)  # `_canonical` sorts it in place
 
     return _canonical(alphabet, frozenset((-1,)), expand)
-
-
-def erase_symbol(dfa, sym):
-    """A DFA over the input's alphabet accepting the input's language with
-    every occurrence of `sym` deleted.  Subset construction over the
-    input's states: each subset is closed under the edges whose label holds
-    `sym`, and its edges step every other symbol.  The closures are
-    memoized by the set they close."""
-    erased = [[dst for label, dst in edges if sym in label] for edges in dfa.transitions]
-    stepped = [
-        [(label - {sym} if sym in label else label, dst) for label, dst in edges]
-        for edges in dfa.transitions
-    ]
-    closures = {}  # set of states -> its closure under `sym` edges
-
-    def closure(states):
-        states = frozenset(states)
-        got = closures.get(states)
-        if got is None:
-            got = closures[states] = frozenset(_search(states, erased))
-        return got
-
-    def expand(subset):
-        edges = _subset_edges((edge for s in subset for edge in stepped[s]), closure)
-        return not dfa.finals.isdisjoint(subset), edges
-
-    return _canonical(dfa.alphabet, closure((0,)), expand)
 
 
 def _search(starts, successors):
     """The set of states reached from `starts` along `successors`, which
     lists each state's next states, depth-first with an explicit stack.
     The one graph search: `_useful` and `_trim_product` run it back from
-    the final states over `_predecessors`, and `erase_symbol` over the
-    erased symbol's edges for its memoized closures.  No forward search
-    is needed, since `_canonical` only numbers states it reaches from the
-    start."""
+    the final states over `_predecessors`.  No forward search is needed,
+    since `_canonical` only numbers states it reaches from the start."""
     seen = set(starts)
     stack = list(seen)
     while stack:
@@ -560,23 +552,41 @@ def trim(dfa):
 
 def minimize(dfa):
     """Partition refinement (Moore) over the trimmed DFA; the result is the
-    canonical minimal partial DFA for the language, marked trim.  Each
-    round splits the previous round's classes by the class each symbol
-    leads to.  Two symbols that every state sends to the same target (or
-    neither steps) split nothing the other does not, so the rounds run
-    over the distinct columns of targets, one per such group of symbols.
-    Finding the columns still takes one pass per symbol the labels hold:
-    callers that step wide classes pass an alphabet already grouped into
-    blocks (as `grammar.compile_rule` does)."""
+    canonical minimal partial DFA for the language, marked trim.  The
+    rounds (`_moore`) start from the final and the non-final states.  Two
+    symbols that every state sends to the same target (or neither steps)
+    split nothing the other does not, so the rounds run over the distinct
+    columns of targets, one per such group of symbols.  Finding the
+    columns still takes one pass per symbol the labels hold: callers that
+    step wide classes pass an alphabet already grouped into blocks (as
+    `grammar.compile_rule` does)."""
     d = trim(dfa)
     if not d.finals:
         return d
-    index = d._symbol_index()
-    n = d.n_states
+    cls, reps = _moore(d._symbol_index(), [1 if s in d.finals else 0 for s in range(d.n_states)])
+    # equivalent states have equal merged edges, so any member stands for
+    # its class; the quotient of a trim DFA is trim
+
+    def expand(c):
+        rep = reps[c]
+        return rep in d.finals, _merge_by_class(d.transitions[rep], cls)
+
+    return _mark_trimmed(_canonical(d.alphabet, cls[0], expand))
+
+
+def _moore(index, cls):
+    """`(classes, reps)`: the coarsest refinement of the partition `cls`
+    (a non-negative class number per state) that steps each symbol of
+    `index` (per state, symbol -> target) from equivalent states into
+    equivalent states or nowhere, as a class number per state, and one
+    state per class number.  Each round splits the previous round's
+    classes by the class each symbol leads to.  `minimize` starts it from
+    the final and non-final states, `grammar._obligation_dfa` from what
+    each of its left states obliges."""
+    n = len(index)
     syms = {sym for row in index for sym in row}
     # a column lists each state's target on one symbol, `n` for none
     columns = {tuple([row.get(sym, n) for row in index]) for sym in syms}
-    cls = [1 if s in d.finals else 0 for s in range(n)]
     ncls = len(set(cls))
     while True:
         ext = [*cls, -1]  # class of each target, -1 for no edge
@@ -588,18 +598,10 @@ def minimize(dfa):
         if len(sigs) == ncls:
             break
         ncls = len(sigs)
-
-    # equivalent states have equal merged edges, so any member stands for
-    # its class; the quotient of a trim DFA is trim
     reps = {}
-    for s in range(d.n_states):
+    for s in range(n):
         reps.setdefault(cls[s], s)
-
-    def expand(c):
-        rep = reps[c]
-        return rep in d.finals, _merge_by_class(d.transitions[rep], cls)
-
-    return _mark_trimmed(_canonical(d.alphabet, cls[0], expand))
+    return cls, reps
 
 
 def reduce_acyclic(dfa):
@@ -732,35 +734,6 @@ def intersect(a, b):
     def expand(pair):
         sa, sb = pair
         return sa in a_finals and sb in b_finals, product(sa, sb)
-
-    return _trim_product(a.alphabet, expand)
-
-
-def difference(a, b):
-    """Product construction; accepts L(a) - L(b), trimmed to useful states
-    and marked trim (`_trim_product`).  A symbol that `b` cannot step
-    leaves `b` for good: the pair's second state becomes None, and from
-    there only `a` is followed.  One product in place of
-    `intersect(a, complement(b))`, with the same result."""
-    product = _product_edges(a, b)
-    a_transitions = a.transitions
-    a_finals = a.finals
-    b_finals = b.finals
-    b_index = b._symbol_index()
-
-    def expand(pair):
-        sa, sb = pair
-        if sb is None:
-            by_target, b_table = {}, {}
-        else:
-            by_target, b_table = product(sa, sb), b_index[sb]
-        for label, da in a_transitions[sa]:
-            rest = label.difference(b_table)  # the symbols `b` cannot step
-            if rest:
-                key = (da, None)
-                got = by_target.get(key)
-                by_target[key] = rest if got is None else got | rest
-        return sa in a_finals and sb not in b_finals, by_target
 
     return _trim_product(a.alphabet, expand)
 

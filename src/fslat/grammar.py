@@ -39,9 +39,11 @@ from .automata import (
     Seq,
     Star,
     Syms,
+    _canonical,
+    _moore,
+    _position_dfa,
+    _walk_positions,
     complement,
-    difference,
-    erase_symbol,
     expand_blocks,
     minimize,
     nullable,
@@ -455,9 +457,6 @@ class CompiledRule:
     automaton: Dfa
 
 
-_MARK = "\x00mark"
-
-
 def _refine(blocks, labels):
     """`blocks` with each split by every label into the part inside it
     and the part outside."""
@@ -510,29 +509,24 @@ def compile_rule(rule, alphabet):
     Every pattern goes straight to a DFA by `automata.pattern_dfa`.
     Reject rules compile directly to the complement of sigma* pattern
     sigma*.  Implication rules take one of two constructions, chosen by
-    `_compile_implication`:
+    `_compile_implication`, and neither inserts a marker symbol:
 
     - A rule whose target is one symbol set and whose every context has
       an empty or nullable right side (18 of the 48 demo rules: `@MV`,
-      `@CS`, `INF`, `OBJ@`, ...) is compiled without markers by
-      `_compile_left_context`: one DFA of sigma* followed by any left
-      side tells, after each prefix, whether an occurrence right there is
-      licensed, and the target's symbols are struck from the states where
-      it is not.
+      `@CS`, `INF`, `OBJ@`, ...) is compiled by `_compile_left_context`:
+      one DFA of sigma* followed by any left side tells, after each
+      prefix, whether an occurrence right there is licensed, and the
+      target's symbols are struck from the states where it is not.
     - Every other rule (right or two-sided contexts such as `Subject` and
-      `@/`, or a longer target) uses the marker construction, the general
-      restriction operator (Kaplan & Kay 1994): violating strings are
-      those factorizable as u x v with x in the target and no context
-      licensing (u, v); both occurrence ends are marked with a scratch
-      symbol, each context's licensed markings are subtracted by one
-      `difference` product, and the marked violations are minimized
-      before `erase_symbol` erases the markers by a subset construction,
-      which this keeps small.
+      `@/`, or a longer target: the other 12 demo implication rules) is
+      compiled by `_obligation_dfa`, one subset construction that steps
+      the left sides, the target occurrences under way and the right
+      sides they still owe, all at once.
 
     Both end in `minimize`, whose output is the canonical minimal DFA of
-    the rule's language, so the two give the same DFA for any rule both
-    can compile; the marker construction stays the referee for the other
-    (`tests/util.marker_compile`).
+    the rule's language, so they give the DFA that the marker
+    construction of the restriction operator (Kaplan & Kay 1994) gives,
+    which stays in the tests as the referee (`tests/util.marker_compile`).
 
     The construction runs over the rule's own blocks (`rule_blocks`), one
     symbol per block, not over `alphabet`: symbols of one block occur in
@@ -573,7 +567,7 @@ def _compile_implication(rule, alphabet):
     not reject.  A one-symbol target with only left contexts goes to
     `_compile_left_context`; a context whose right side is nullable
     licenses every right side, as an empty one does.  Every other rule
-    takes the marker construction (`compile_rule`)."""
+    goes to `_obligation_dfa`, whose subset DFA is minimized here."""
     target = rule.target
     if nullable(target):
         raise GrammarCompileError(
@@ -583,27 +577,169 @@ def _compile_implication(rule, alphabet):
         )
     if isinstance(target, Syms) and all(nullable(right) for _, right in rule.contexts):
         return _compile_left_context(rule, alphabet)
-    scratch = alphabet.extended(_MARK)
-    mark = scratch.id_of(_MARK)
-    base_star = _any_star(alphabet)  # marker-free sigma*
-    mark_lit = Syms(frozenset((mark,)))
+    return minimize(_obligation_dfa(rule, alphabet))
 
-    marked_occurrence = Seq((base_star, mark_lit, target, mark_lit, base_star))
-    bad = pattern_dfa(marked_occurrence, scratch)
-    # every state of `bad` is reachable, so it has a final state exactly
-    # when the target's language is not empty
-    if not bad.finals:
+
+def _obligation_dfa(rule, alphabet):
+    """A DFA, not yet minimal, of the strings that the implication `rule`
+    (its target not nullable) accepts: those where every occurrence
+    u x v of the target has a context i with u in sigma* L_i and v in
+    R_i sigma*.
+
+    One subset construction over triples `(left, runs, pending)`, with no
+    marker symbol:
+
+    - `left` is a state of the DFA of sigma* (L_1 | ... | L_n), whose
+      states are sets of positions (`_walk_positions`).  Context i's left
+      side has just matched iff the set holds one of L_i's last
+      positions, or always when L_i is nullable.  An occurrence starting
+      there gets the obligation of one disjunct per such context: the
+      start of the minimal DFA of R_i sigma*.  Left states that owe the
+      same obligation now and after every string are merged first
+      (`automata._moore`), which takes `Subject` from 120 triples to 83.
+    - `runs` is a set of `(target state, obligation)` pairs, one for each
+      occurrence under way: a run starts at every point, and where it
+      reaches a final state of the target's DFA an occurrence ends and
+      its obligation falls due.  A point where some context with a
+      nullable R_i has just matched starts no run, since every occurrence
+      there is licensed.
+    - `pending` is a set of obligations fallen due, each a set of the
+      disjuncts still alive.  The DFAs of the distinct right sides are
+      numbered together, so a disjunct is one int.  An obligation is
+      met, and dropped, once one disjunct reaches a final state, after
+      which R_i sigma* accepts anything; one that is a strict superset of
+      another is dropped too.
+      A symbol on which every disjunct of an obligation dies, or on which
+      an occurrence that no context licenses ends, is a violation and
+      gets no edge.
+
+    A triple is accepting iff nothing is pending.  No marker is inserted
+    and no marked automaton built, so no subset construction runs after
+    one; `minimize` then gives the canonical minimal DFA, the marker
+    construction's (`tests/util.marker_compile`).
+    """
+    target = minimize(pattern_dfa(rule.target, alphabet))
+    if not target.finals:
         raise GrammarCompileError(
             f"rule {rule.name!r}: target denotes the empty language", rule.line
         )
+    any_star = _any_star(alphabet)
+    right_starts = {}  # right side -> its start disjunct
+    steps = []  # per disjunct: symbol -> disjunct, over all right-side DFAs
+    met = set()  # the disjuncts at a final state: the right side has matched
+    for _, right in rule.contexts:
+        if right not in right_starts:
+            side = minimize(pattern_dfa(Seq((right, any_star)), alphabet))
+            base = right_starts[right] = len(steps)
+            steps += [{sym: base + dst for label, dst in edges for sym in label}
+                      for edges in side.transitions]
+            met.update(base + s for s in side.finals)
+
+    labels, follow = [], []
+    _walk_positions(any_star, labels, follow)  # position 0, which follows itself
+    licensing = []  # per context: (last positions of its left side or None, right start)
     for left, right in rule.contexts:
-        licensed = Seq((base_star, left, mark_lit, base_star, mark_lit, right, base_star))
-        bad = difference(bad, pattern_dfa(licensed, scratch))
-        if not bad.finals:  # `difference` output is trim
-            break
-    violating = erase_symbol(minimize(bad), mark)
-    violating = Dfa(alphabet, violating.transitions, violating.finals)
-    return minimize(complement(violating))
+        null, first, last = _walk_positions(left, labels, follow)
+        follow[0] |= first
+        licensing.append((None if null else last, right_starts[right]))
+    follow.append(follow[0])  # the start's, as pseudo-position -1
+    owed = []  # per left state: the obligation of an occurrence starting there
+
+    def owes(positions):  # called in the order the left states are numbered
+        starts = {start for last, start in licensing
+                  if last is None or not last.isdisjoint(positions)}
+        owed.append(None if not met.isdisjoint(starts) else frozenset(starts))
+        return False
+
+    # left states that oblige alike now and after every string are merged
+    positions = _position_dfa(alphabet, labels, follow, owes)._symbol_index()
+    numbered = {}
+    cls, reps = _moore(positions, [numbered.setdefault(o, len(numbered)) for o in owed])
+    left_index = [{sym: cls[dst] for sym, dst in positions[reps[c]].items()}
+                  for c in range(len(reps))]
+    owed = [owed[reps[c]] for c in range(len(reps))]
+    target_index = target._symbol_index()
+    target_finals = target.finals
+    sigma = alphabet.id_set()
+
+    @functools.cache
+    def run_moves(runs):
+        """Per symbol, `(runs stepped, obligations due)`, or None where an
+        occurrence that no context licenses ends."""
+        moves = {}
+        for sym in sigma:
+            stepped, due = set(), set()
+            for t, obligation in runs:
+                t = target_index[t].get(sym)
+                if t is None:
+                    continue
+                if t in target_finals:
+                    if not obligation:
+                        moves[sym] = None
+                        break
+                    due.add(obligation)
+                if target_index[t]:
+                    stepped.add((t, obligation))
+            else:
+                moves[sym] = (frozenset(stepped), _strictest(due))
+        return moves
+
+    @functools.cache
+    def pending_moves(pending):
+        """Per symbol, the obligations of `pending` not yet met, each with
+        its disjuncts stepped, or None where one of them fails."""
+        moves = {}
+        for sym in sigma:
+            still = set()
+            for obligation in pending:
+                alive = []
+                for d in obligation:
+                    d = steps[d].get(sym)
+                    if d is not None:
+                        if d in met:
+                            break
+                        alive.append(d)
+                else:
+                    if not alive:
+                        moves[sym] = None
+                        break
+                    still.add(frozenset(alive))
+            else:
+                moves[sym] = _strictest(still)
+        return moves
+
+    def expand(state):
+        left, runs, pending = state
+        by_runs, by_pending = run_moves(runs), pending_moves(pending)
+        grouped = {}
+        for sym, next_left in left_index[left].items():
+            moved, still = by_runs[sym], by_pending[sym]
+            if moved is None or still is None:
+                continue  # a violation
+            stepped, due = moved
+            obligation = owed[next_left]
+            if obligation is not None:
+                stepped = stepped | {(0, obligation)}
+            if still:
+                due = _strictest(due | still) if due else still
+            key = (next_left, stepped, due)
+            got = grouped.get(key)
+            if got is None:
+                grouped[key] = [sym]
+            else:
+                got.append(sym)
+        return not pending, [(frozenset(syms), key) for key, syms in grouped.items()]
+
+    runs = frozenset() if owed[0] is None else frozenset(((0, owed[0]),))
+    return _canonical(alphabet, (0, runs, frozenset()), expand)
+
+
+def _strictest(obligations):
+    """The frozenset of `obligations` without those that hold another one:
+    a superset is met whenever the other is."""
+    if len(obligations) > 1:
+        obligations = [o for o in obligations if not any(p < o for p in obligations)]
+    return frozenset(obligations)
 
 
 def _compile_left_context(rule, alphabet):

@@ -18,7 +18,6 @@ from fslat.automata import (
     complement,
     count_paths,
     enumerate_strings,
-    erase_symbol,
     intersect,
     is_empty,
     minimize,
@@ -50,7 +49,7 @@ from fslat.lexicon import (
     tokenize,
 )
 from .test_grammar import random_rule
-from .util import exhaustive_strings, language_equal, random_dfa
+from .util import erase_symbol, exhaustive_strings, language_equal, random_dfa
 
 GOLDEN = Path(__file__).parent / "golden"
 

@@ -17,10 +17,8 @@ from fslat.automata import (
     Syms,
     complement,
     count_paths,
-    difference,
     empty_dfa,
     enumerate_strings,
-    erase_symbol,
     expand_blocks,
     intersect,
     is_empty,
@@ -34,7 +32,9 @@ from fslat.grammar import _Matcher
 from .util import (
     Nfa,
     determinize,
+    difference,
     dump,
+    erase_symbol,
     exhaustive_strings,
     from_pattern,
     hand_matcher,
@@ -911,14 +911,29 @@ _UP_TO_4 = Dfa(
 )
 
 
+def has_empty_leaf(pat):
+    """True if some leaf of `pat` denotes the empty language: a `Syms`
+    with no symbol, or a union of nothing."""
+    if isinstance(pat, Syms):
+        return not pat.ids
+    if isinstance(pat, Alt) and not pat.parts:
+        return True
+    if isinstance(pat, (Seq, Alt)):
+        return any(has_empty_leaf(p) for p in pat.parts)
+    return has_empty_leaf(pat.inner)
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(dfas(), boundary_dfas), st.one_of(dfas(), boundary_dfas))
-def test_property_trim_mark_never_lies(a, b):
+@given(st.one_of(dfas(), boundary_dfas), st.one_of(dfas(), boundary_dfas), patterns)
+def test_property_trim_mark_never_lies(a, b, pat):
     assert not a._trimmed and not b._trimmed  # built by hand
     assert not erase_symbol(a, _PROP_SYMS[0])._trimmed
+    positions = pattern_dfa(pat, _PROP_ALPHABET)
+    assert positions._trimmed == (not has_empty_leaf(pat)), pat
     acyclic = intersect(a, _UP_TO_4)
     built = (trim(a), minimize(a), complement(a), difference(a, b), intersect(a, b))
-    for x in (*built, reduce_acyclic(acyclic), Chain(acyclic).dfa()):
+    marked_positions = (positions,) if positions._trimmed else ()
+    for x in (*built, reduce_acyclic(acyclic), Chain(acyclic).dfa(), *marked_positions):
         assert x._trimmed
         assert trim(x) is x
         again = trim(Dfa(x.alphabet, x.transitions, x.finals))  # an unmarked copy

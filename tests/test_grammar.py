@@ -344,7 +344,7 @@ class TestCompileRule:
 
     def test_target_with_empty_language_rejected(self):
         alph = Alphabet(["A", "B"], {"K": []})
-        for text in ("K => _ A ;", "K => A _ ;"):  # with markers, and without
+        for text in ("K => _ A ;", "K => A _ ;"):  # by obligations, and by left contexts
             with pytest.raises(GrammarCompileError, match="target denotes the empty language"):
                 compile_single(text, alph)
 
@@ -767,6 +767,104 @@ def test_property_left_context_compile_matches_marker_oracle(case, seed):
         assert got.accepts(w) == brute_force_accepts(rule, w, alph), (text, w)
 
 
+# -- rules with right sides or longer targets: the obligation construction ------
+
+# Each case as in BLOCK_CASES.  Every case's alphabet also has a class `Z`
+# with no member, so a target that holds it may denote the empty language.
+OBLIGATION_CASES = {
+    "small": (["A", "B", "C"], "", ["A", "B", "C"], ["A", "B", "C", "@/"]),
+    "own_clb": (
+        ["A", "B", "C"],
+        "CLB := B @@ ;\nK := A C ;\n",
+        ["A", "B", "K"],
+        ["A", "B", "C", "@/", "@@"],
+    ),
+}
+
+
+def random_obligation_rule_text(rng, symbols):
+    """A rule that `_obligation_dfa` compiles, unless its target is
+    nullable or denotes the empty language.  The target is a symbol or
+    class, one repeated (`A A`, whose occurrences overlap in `A A A`), two
+    in a row, or a random pattern that may hold the empty class `Z`.  Of
+    its 1-3 contexts the first is right-only or two-sided with a right
+    side that is not nullable unless the target is; the others may also
+    be left-only.  A right side may hold the target."""
+    a = rng.choice(symbols)
+    target = rng.choice(
+        [a, f"{a} {a}", f"{a} {rng.choice(symbols)}", random_pattern(rng, 2, [*symbols, "Z"])]
+    )
+    contexts = []
+    for i in range(rng.randint(1, 3)):
+        kind = rng.choice(["right", "both", "left"] if i else ["right", "both"])
+        left = "" if kind == "right" else random_context_side(rng, symbols)
+        right = "" if kind == "left" else rng.choice([
+            rng.choice(symbols),
+            f"{random_context_side(rng, symbols)} {rng.choice(symbols)}",
+            f"( {target} ) {random_context_side(rng, symbols)}",
+            f".. ( {target} )",
+        ])
+        contexts.append(f"{left} _ {right}")
+    return f"( {target} ) => {' , '.join(contexts)} ;"
+
+
+@pytest.mark.parametrize("case", sorted(OBLIGATION_CASES))
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 10**9))
+def test_property_obligation_compile_matches_marker_oracle(case, seed):
+    texts, header, symbols, probe = OBLIGATION_CASES[case]
+    text = random_obligation_rule_text(random.Random(seed), symbols)
+    grammar = expand_constants(parse_grammar(header + text))
+    alph = Alphabet(texts, {**grammar.classes, "Z": ()})
+    rule = grammar.rules[0]
+    direct = grammar_module._obligation_dfa
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return direct(*args)
+
+    def compiled():
+        try:
+            return compile_rule(rule, alph).automaton
+        except GrammarCompileError as err:
+            return str(err)
+
+    with mock.patch.object(grammar_module, "_compile_implication", marker_compile):
+        want = compiled()
+    with mock.patch.object(grammar_module, "_obligation_dfa", counted):
+        got = compiled()
+    if isinstance(want, str):  # a nullable target, or one with an empty language
+        assert got == want, text
+        return
+    assert not isinstance(got, str), (text, got)
+    assert len(calls) == 1, text  # the rule took the obligation construction
+    assert dump(got) == dump(want), text
+    assert got.trigger_symbols() == want.trigger_symbols(), text
+    for w in exhaustive_strings([alph.id_of(t) for t in probe], 4):
+        assert got.accepts(w) == brute_force_accepts(rule, w, alph), (text, w)
+
+
+@pytest.mark.parametrize(
+    "implication, reject, occurrences",
+    [
+        ("A A => _ A ;", "! A A ;", "A A A"),  # two occurrences that overlap
+        ("A => _ A ;", "! A ;", "A A"),
+        ("A B => _ .. A B ;", "! A B ;", "A B A B"),
+    ],
+)
+def test_obligation_that_every_occurrence_renews(implication, reject, occurrences):
+    """Each occurrence of the target needs another one after it, which
+    needs one in turn, so the last occurrence is never licensed: the rule
+    accepts exactly the strings with no occurrence."""
+    alph = Alphabet(["A", "B"])
+    rule, got = compile_single(implication, alph)
+    assert dump(got.automaton) == dump(compile_single(reject, alph)[1].automaton)
+    for w in exhaustive_strings(ids(alph, "A B"), 5):
+        assert got.automaton.accepts(w) == brute_force_accepts(rule, w, alph), w
+    assert not got.automaton.accepts(ids(alph, occurrences))
+
+
 #: The demo rules whose target is one symbol or class and whose every
 #: context has an empty right side, which `_compile_implication` compiles
 #: without markers (`_compile_left_context`).
@@ -787,18 +885,55 @@ def test_demo_build_compiles_left_context_rules_without_markers(
     Pipeline.build(demo_lexicon, demo_map, demo_grammar, registry)
     assert len(names) == DEMO_BUILD_LEFT_CONTEXT_RULES
     assert {"@MV", "@CS", "INF", "OBJ@"} <= set(names)
-    assert not {"Subject", "@/"} & set(names)  # two-sided rules keep the markers
+    assert not {"Subject", "@/"} & set(names)  # rules with right sides take `_obligation_dfa`
 
 
-#: The states the two subset constructions of rule compilation,
-#: `pattern_dfa` and `erase_symbol`, return over one build of the demo
-#: pipeline.  Two things keep the number down.  The 18 left-context rules
+#: The demo implication rules that `_compile_left_context` does not take:
+#: 4 with right contexts only and 8 with both sides.
+DEMO_BUILD_OBLIGATION_RULES = 12
+
+
+def test_demo_build_compiles_other_implication_rules_by_obligations(
+    monkeypatch, demo_lexicon, demo_map, demo_grammar, registry
+):
+    routed = {}
+
+    def counting(name):
+        construction = getattr(grammar_module, name)
+
+        def counted(rule, alphabet):
+            routed.setdefault(name, []).append(rule.name)
+            return construction(rule, alphabet)
+
+        return counted
+
+    for name in ("_compile_left_context", "_obligation_dfa"):
+        monkeypatch.setattr(grammar_module, name, counting(name))
+    Pipeline.build(demo_lexicon, demo_map, demo_grammar, registry)
+    implications = {
+        rule.name for rule in demo_grammar.rules if isinstance(rule, ImplicationRule)
+    }
+    names = routed["_obligation_dfa"]
+    assert len(names) == len(set(names)) == DEMO_BUILD_OBLIGATION_RULES
+    assert set(names) == implications - set(routed["_compile_left_context"])
+    assert {"Subject", "@/", "@subj", "SUBJ@", "ADVL@"} <= set(names)
+
+
+#: The states the subset constructions of rule compilation return over
+#: one build of the demo pipeline: every `pattern_dfa`, and the DFA that
+#: `_obligation_dfa` builds for each of the 12 rules with right sides
+#: (`DEMO_BUILD_OBLIGATION_RULES`) before it is minimized.  Three things
+#: keep the number down.  The 18 left-context rules
 #: (`DEMO_BUILD_LEFT_CONTEXT_RULES`) are compiled without markers: with
 #: the marker construction for every rule, a build determinizes 1825
-#: states.  And minimizing the marked violations before their markers are
-#: erased keeps the subset construction after erasure small: without that
-#: as well, 2888.  May only go down.
-DEMO_BUILD_DETERMINIZED_STATES = 1468
+#: states.  Minimizing the marked violations before their markers were
+#: erased kept the subset construction after erasure small: without that
+#: as well, 2888.  And the obligation construction needs no markers to
+#: erase: with the marker construction for those 12 rules, 1468, and
+#: without merging the left states that oblige alike, 1093.  (The left
+#: states themselves are numbered by `_canonical` and counted in
+#: `DEMO_BUILD_NUMBERED_STATES`.)  May only go down.
+DEMO_BUILD_DETERMINIZED_STATES = 1028
 
 
 def test_demo_build_determinized_states(
@@ -814,7 +949,7 @@ def test_demo_build_determinized_states(
 
         return counted
 
-    for name in ("pattern_dfa", "erase_symbol"):
+    for name in ("pattern_dfa", "_obligation_dfa"):
         monkeypatch.setattr(grammar_module, name, counting(getattr(grammar_module, name)))
     Pipeline.build(demo_lexicon, demo_map, demo_grammar, registry)
     assert sum(states) == DEMO_BUILD_DETERMINIZED_STATES
@@ -826,10 +961,14 @@ def test_demo_build_determinized_states(
 #: do not trim it again, and a product numbers only its useful pairs:
 #: trimming every such DFA again and numbering every reachable pair, a
 #: build numbered 6264 states and searched 174 times.  Compiling the 18
-#: left-context rules without markers took the states from 3859 to 2985;
-#: each rule still searches once, as the trim inside its last `minimize`.
-#: Either number may only go down.
-DEMO_BUILD_NUMBERED_STATES = 2985
+#: left-context rules without markers took the states from 3859 to 2985,
+#: and the other 12 implication rules by obligations (`_obligation_dfa`,
+#: which numbers through `automata._canonical` from the grammar module)
+#: to 2170.  Each rule still searches once, as the trim inside its last
+#: `minimize`: a `pattern_dfa` with no empty label is marked trim, so
+#: minimizing a target or a right side searches nothing.  Either number
+#: may only go down.
+DEMO_BUILD_NUMBERED_STATES = 2170
 DEMO_BUILD_USEFUL_SEARCHES = 48
 
 
@@ -851,6 +990,7 @@ def test_demo_build_numbers_each_state_once(
         return useful(dfa)
 
     monkeypatch.setattr(automata_module, "_canonical", counted_canonical)
+    monkeypatch.setattr(grammar_module, "_canonical", counted_canonical)
     monkeypatch.setattr(automata_module, "_useful", counted_useful)
     Pipeline.build(demo_lexicon, demo_map, demo_grammar, registry)
     assert sum(numbered) == DEMO_BUILD_NUMBERED_STATES

@@ -13,16 +13,18 @@ from fslat.automata import (
     Star,
     Syms,
     _canonical,
+    _product_edges,
     _search,
+    _subset_edges,
+    _trim_product,
     complement,
-    difference,
     intersect,
     is_empty,
     minimize,
     nullable,
     trim,
 )
-from fslat.grammar import _MARK, GrammarCompileError, _any_star
+from fslat.grammar import GrammarCompileError, _any_star
 from fslat.lattice import UNKNOWN_WORD_SYMBOL, TagError, word_symbol
 
 
@@ -59,7 +61,7 @@ def dump(dfa):
 
 # NFAs with epsilon edges and their subset construction: the general
 # route from a pattern to a DFA, independent of `automata.pattern_dfa`
-# and `automata.erase_symbol`.  The oracles `nfa_lattice` and
+# and of `erase_symbol` below.  The oracles `nfa_lattice` and
 # `marker_compile` build through it.
 
 
@@ -197,6 +199,33 @@ def nfa_erase_symbol(dfa, sym):
     nfa.start = 0
     nfa.finals = set(dfa.finals)
     return nfa
+
+
+def erase_symbol(dfa, sym):
+    """A DFA over the input's alphabet accepting the input's language with
+    every occurrence of `sym` deleted.  Subset construction over the
+    input's states: each subset is closed under the edges whose label holds
+    `sym`, and its edges step every other symbol.  The closures are
+    memoized by the set they close."""
+    erased = [[dst for label, dst in edges if sym in label] for edges in dfa.transitions]
+    stepped = [
+        [(label - {sym} if sym in label else label, dst) for label, dst in edges]
+        for edges in dfa.transitions
+    ]
+    closures = {}  # set of states -> its closure under `sym` edges
+
+    def closure(states):
+        states = frozenset(states)
+        got = closures.get(states)
+        if got is None:
+            got = closures[states] = frozenset(_search(states, erased))
+        return got
+
+    def expand(subset):
+        edges = _subset_edges((edge for s in subset for edge in stepped[s]), closure)
+        return not dfa.finals.isdisjoint(subset), edges
+
+    return _canonical(dfa.alphabet, closure((0,)), expand)
 
 
 def nfa_accepts(nfa, syms):
@@ -386,6 +415,38 @@ def nfa_lattice(cohorts, registry, alphabet):
             nfa.finals = {final}
 
     return determinize(nfa)
+
+
+_MARK = "\x00mark"
+
+
+def difference(a, b):
+    """Product construction; accepts L(a) - L(b), trimmed to useful states
+    and marked trim (`_trim_product`).  A symbol that `b` cannot step
+    leaves `b` for good: the pair's second state becomes None, and from
+    there only `a` is followed.  One product in place of
+    `intersect(a, complement(b))`, with the same result."""
+    product = _product_edges(a, b)
+    a_transitions = a.transitions
+    a_finals = a.finals
+    b_finals = b.finals
+    b_index = b._symbol_index()
+
+    def expand(pair):
+        sa, sb = pair
+        if sb is None:
+            by_target, b_table = {}, {}
+        else:
+            by_target, b_table = product(sa, sb), b_index[sb]
+        for label, da in a_transitions[sa]:
+            rest = label.difference(b_table)  # the symbols `b` cannot step
+            if rest:
+                key = (da, None)
+                got = by_target.get(key)
+                by_target[key] = rest if got is None else got | rest
+        return sa in a_finals and sb not in b_finals, by_target
+
+    return _trim_product(a.alphabet, expand)
 
 
 def marker_compile(rule, alphabet):
