@@ -12,7 +12,6 @@ from .automata import (
     Dfa,
     InfiniteLanguageError,
     PatternError,
-    complement,
     count_paths,
     enumerate_strings,
     intersect,

@@ -102,12 +102,6 @@ class Alphabet:
     def id_set(self):
         return frozenset(range(len(self._texts)))
 
-    def extended(self, text):
-        """A new alphabet with `text` as one more symbol.  Every existing
-        symbol keeps its id, so resolved labels carry over; the copy has only
-        the default `CLB` class, and this alphabet is left as it is."""
-        return Alphabet((*self._texts, text))
-
 
 # ---------------------------------------------------------------------------
 # Pattern trees
@@ -177,10 +171,10 @@ class Dfa:
     kernels (`_index`; most automata are never stepped), and the trigger
     set (`_trigger`, see `trigger_symbols`), which only a rule needs.  The
     third is a mark set where the DFA is built: `_trimmed` is true when
-    the builder (`trim`, `minimize`, `reduce_acyclic`, `complement`,
-    `intersect`, `Chain.dfa`, `pattern_dfa` for a pattern with no empty
-    label, or `lattice.build_lattice` for a lattice whose every cohort
-    has a reading) knows the DFA to be trim and canonically numbered, so
+    the builder (`trim`, `minimize`, `reduce_acyclic`, `intersect`,
+    `Chain.dfa`, `pattern_dfa` for a pattern with no empty label, or
+    `lattice.build_lattice` for a lattice whose every cohort has a
+    reading) knows the DFA to be trim and canonically numbered, so
     `trim` returns it as it is.  A DFA built any other way, by hand, by
     `expand_blocks` or by `pattern_dfa` for a pattern with an empty label
     or union, is left unmarked, and `trim` trims it."""
@@ -628,31 +622,6 @@ def reduce_acyclic(dfa):
             classes.append((final, edges))
         cls[state] = idx
     return _mark_trimmed(_canonical(d.alphabet, cls[0], classes.__getitem__))
-
-
-def complement(dfa):
-    """Accepts exactly Sigma* minus the input's language, over its own
-    alphabet; trimmed, and so marked trim."""
-    alphabet = dfa.alphabet
-    sigma = alphabet.id_set()
-    n = dfa.n_states
-    sink = n
-    out = []
-    need_sink = False
-    for edges in dfa.transitions:
-        covered = frozenset().union(*(label for label, _ in edges)) if edges else frozenset()
-        rest = sigma - covered
-        new_edges = list(edges)
-        if rest:
-            new_edges.append((rest, sink))
-            need_sink = True
-        out.append(new_edges)
-    states = n
-    if need_sink:
-        out.append(((sigma, sink),))
-        states += 1
-    finals = frozenset(s for s in range(states) if s not in dfa.finals)
-    return trim(Dfa(alphabet, out, finals))
 
 
 def _product_edges(a, b):

@@ -43,7 +43,6 @@ from .automata import (
     _moore,
     _position_dfa,
     _walk_positions,
-    complement,
     expand_blocks,
     minimize,
     nullable,
@@ -506,10 +505,12 @@ def compile_rule(rule, alphabet):
     """Compile one constant-free rule to a DFA accepting exactly the
     non-violating strings over `alphabet`, resolved by `resolve_rule`.
 
-    Every pattern goes straight to a DFA by `automata.pattern_dfa`.
-    Reject rules compile directly to the complement of sigma* pattern
-    sigma*.  Implication rules take one of two constructions, chosen by
-    `_compile_implication`, and neither inserts a marker symbol:
+    Every pattern goes straight to a DFA by `automata.pattern_dfa`, and
+    no construction complements an automaton or inserts a marker symbol.
+    A reject rule is compiled by `_compile_reject`: the DFA of sigma*
+    pattern, with every edge into a final state struck and only the
+    other states final.  Implication rules take one of two
+    constructions, chosen by `_compile_implication`:
 
     - A rule whose target is one symbol set and whose every context has
       an empty or nullable right side (18 of the 48 demo rules: `@MV`,
@@ -523,10 +524,12 @@ def compile_rule(rule, alphabet):
       the left sides, the target occurrences under way and the right
       sides they still owe, all at once.
 
-    Both end in `minimize`, whose output is the canonical minimal DFA of
-    the rule's language, so they give the DFA that the marker
-    construction of the restriction operator (Kaplan & Kay 1994) gives,
-    which stays in the tests as the referee (`tests/util.marker_compile`).
+    All three end in `minimize`, whose output is the canonical minimal
+    DFA of the rule's language.  So a reject rule gives the minimal
+    complement of the DFA of sigma* pattern sigma*, and an implication
+    rule the DFA that the marker construction of the restriction
+    operator (Kaplan & Kay 1994) gives; both routes stay in the tests as
+    referees (`tests/util.complement_reject`, `tests/util.marker_compile`).
 
     The construction runs over the rule's own blocks (`rule_blocks`), one
     symbol per block, not over `alphabet`: symbols of one block occur in
@@ -558,8 +561,23 @@ def compile_rule(rule, alphabet):
 
 
 def _compile_reject(rule, alphabet):
-    occurs = Seq((_any_star(alphabet), rule.pattern, _any_star(alphabet)))
-    return minimize(complement(pattern_dfa(occurs, alphabet)))
+    """The DFA of the strings with no occurrence of `rule`'s pattern P.
+
+    The position construction of sigma* P is complete, as in
+    `_compile_left_context`, and after reading u it is in a final state
+    iff an occurrence of P ends right there.  So with every edge into a
+    final state struck and only the other states made final, it accepts
+    exactly the strings where no occurrence ends; `minimize` makes it the
+    canonical minimal DFA.  A nullable P ends an occurrence after every
+    prefix, so every state is final and nothing is accepted; a P with the
+    empty language leaves no state final, so everything is."""
+    ends = pattern_dfa(Seq((_any_star(alphabet), rule.pattern)), alphabet)
+    finals = ends.finals
+    transitions = [
+        [(label, dst) for label, dst in edges if dst not in finals]
+        for edges in ends.transitions
+    ]
+    return minimize(Dfa(alphabet, transitions, set(range(len(transitions))) - finals))
 
 
 def _compile_implication(rule, alphabet):

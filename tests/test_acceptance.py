@@ -15,7 +15,6 @@ from fslat import data
 from fslat.automata import (
     Alphabet,
     InfiniteLanguageError,
-    complement,
     count_paths,
     enumerate_strings,
     intersect,
@@ -49,7 +48,7 @@ from fslat.lexicon import (
     tokenize,
 )
 from .test_grammar import random_rule
-from .util import erase_symbol, exhaustive_strings, language_equal, random_dfa
+from .util import complement, erase_symbol, exhaustive_strings, language_equal, random_dfa
 
 GOLDEN = Path(__file__).parent / "golden"
 

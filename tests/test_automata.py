@@ -15,7 +15,6 @@ from fslat.automata import (
     Seq,
     Star,
     Syms,
-    complement,
     count_paths,
     empty_dfa,
     enumerate_strings,
@@ -31,6 +30,7 @@ from fslat.automata import _contained, _register_product
 from fslat.grammar import _Matcher
 from .util import (
     Nfa,
+    complement,
     determinize,
     difference,
     dump,

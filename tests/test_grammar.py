@@ -11,7 +11,6 @@ from fslat.automata import (
     Alphabet,
     PatternError,
     Syms,
-    complement,
     is_empty,
 )
 from fslat.engine import Pipeline, build_alphabet
@@ -30,7 +29,14 @@ from fslat.grammar import (
     rule_blocks,
 )
 
-from .util import dump, exhaustive_strings, language_equal, marker_compile
+from .util import (
+    complement,
+    complement_reject,
+    dump,
+    exhaustive_strings,
+    language_equal,
+    marker_compile,
+)
 
 SUBJECT_RULE = """
 FinMainVerb    = VFIN @MV ;
@@ -706,6 +712,61 @@ def test_property_compile_matches_marker_oracle(case, seed):
     assert dump(got) == dump(want), rule.name
 
 
+# -- reject rules: the struck DFA of sigma* P ------------------------------------
+
+
+def random_reject_rule_text(rng, symbols):
+    """A reject rule whose pattern may hold a gap, be nullable (`[ ... ]`)
+    or hold the class `Z` with no member."""
+    names = [*symbols, "Z"]
+    pattern = random_pattern(rng, 2, names)
+    roll = rng.random()
+    if roll < 0.3:
+        gap = rng.choice(["..", "..."])
+        pattern = f"{pattern} {gap} {random_pattern(rng, 1, names)}"
+    elif roll < 0.5:
+        pattern = f"[ {pattern} ]"
+    return f"! {pattern} ;"
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**9))
+def test_property_reject_compile_matches_complement_referee(case, seed):
+    texts, header, symbols, probe = BLOCK_CASES[case]
+    rng = random.Random(seed)
+    if symbols is None:  # a rule naming one or two of the 60 symbols
+        symbols = rng.sample(texts, rng.randint(1, 2))
+        probe = [*symbols, *probe]
+    text = random_reject_rule_text(rng, symbols)
+    grammar = expand_constants(parse_grammar(header + text))
+    alph = Alphabet(texts, {**grammar.classes, "Z": ()})
+    rule = grammar.rules[0]
+    got = compile_rule(rule, alph).automaton
+    with mock.patch.object(grammar_module, "_compile_reject", complement_reject):
+        want = compile_rule(rule, alph).automaton
+    assert dump(got) == dump(want), text
+    assert got.trigger_symbols() == want.trigger_symbols(), text
+    for w in exhaustive_strings([alph.id_of(t) for t in probe], 4):
+        assert got.accepts(w) == brute_force_accepts(rule, w, alph), (text, w)
+
+
+def test_nullable_reject_pattern_accepts_nothing():
+    # every string holds an empty occurrence: `check-grammar` flags it
+    # UNSATISFIABLE
+    got = compile_single("! [ A ] ;", Alphabet(["A", "B"]))[1].automaton
+    assert is_empty(got)
+    assert (got.n_states, got.finals) == (1, frozenset())
+
+
+def test_empty_reject_pattern_accepts_everything():
+    # no string holds an occurrence: `check-grammar` flags it VACUOUS
+    alph = Alphabet(["A", "B"], {"Z": ()})
+    got = compile_single("! Z ;", alph)[1].automaton
+    assert got.trigger_symbols() == frozenset()
+    assert (got.transitions, got.finals) == ((((alph.id_set(), 0),),), {0})
+
+
 # -- one-symbol targets with left contexts only ---------------------------------
 
 # Each case as in BLOCK_CASES; "own_clb" defines its own `CLB` and a class
@@ -922,18 +983,21 @@ def test_demo_build_compiles_other_implication_rules_by_obligations(
 #: The states the subset constructions of rule compilation return over
 #: one build of the demo pipeline: every `pattern_dfa`, and the DFA that
 #: `_obligation_dfa` builds for each of the 12 rules with right sides
-#: (`DEMO_BUILD_OBLIGATION_RULES`) before it is minimized.  Three things
+#: (`DEMO_BUILD_OBLIGATION_RULES`) before it is minimized.  Four things
 #: keep the number down.  The 18 left-context rules
 #: (`DEMO_BUILD_LEFT_CONTEXT_RULES`) are compiled without markers: with
 #: the marker construction for every rule, a build determinizes 1825
 #: states.  Minimizing the marked violations before their markers were
 #: erased kept the subset construction after erasure small: without that
-#: as well, 2888.  And the obligation construction needs no markers to
+#: as well, 2888.  The obligation construction needs no markers to
 #: erase: with the marker construction for those 12 rules, 1468, and
-#: without merging the left states that oblige alike, 1093.  (The left
-#: states themselves are numbered by `_canonical` and counted in
-#: `DEMO_BUILD_NUMBERED_STATES`.)  May only go down.
-DEMO_BUILD_DETERMINIZED_STATES = 1028
+#: without merging the left states that oblige alike, 1093.  And a
+#: reject rule `! P ;` determinizes sigma* P, not sigma* P sigma*, whose
+#: states after an occurrence all accept every string: with that DFA
+#: complemented for the 18 reject rules, 1028.  (The left states are
+#: numbered by `_canonical` and counted in `DEMO_BUILD_NUMBERED_STATES`.)
+#: May only go down.
+DEMO_BUILD_DETERMINIZED_STATES = 927
 
 
 def test_demo_build_determinized_states(
@@ -962,13 +1026,15 @@ def test_demo_build_determinized_states(
 #: trimming every such DFA again and numbering every reachable pair, a
 #: build numbered 6264 states and searched 174 times.  Compiling the 18
 #: left-context rules without markers took the states from 3859 to 2985,
-#: and the other 12 implication rules by obligations (`_obligation_dfa`,
+#: the other 12 implication rules by obligations (`_obligation_dfa`,
 #: which numbers through `automata._canonical` from the grammar module)
-#: to 2170.  Each rule still searches once, as the trim inside its last
-#: `minimize`: a `pattern_dfa` with no empty label is marked trim, so
-#: minimizing a target or a right side searches nothing.  Either number
-#: may only go down.
-DEMO_BUILD_NUMBERED_STATES = 2170
+#: to 2170, and the 18 reject rules from the struck DFA of sigma* P, not
+#: the complement of sigma* P sigma*, to 2069.  Each rule still searches
+#: once, as the trim inside its last `minimize` (for a reject rule, in
+#: place of the trim inside `complement`): a `pattern_dfa` with no empty
+#: label is marked trim, so minimizing a target or a right side searches
+#: nothing.  Either number may only go down.
+DEMO_BUILD_NUMBERED_STATES = 2069
 DEMO_BUILD_USEFUL_SEARCHES = 48
 
 

@@ -4,8 +4,10 @@ The package is read with `ast`, not imported.  A function, class or
 module constant defined in `src/fslat/*.py` must be loaded by name
 somewhere in the package (its `__init__.py` re-exports do not count) or
 in `bench/harness.py`, as a bare name or as an attribute of an fslat
-module.  A name that only tests call belongs in `tests/util.py`; a name
-that nothing calls is deleted.
+module.  Likewise each method a package class defines, dunders aside,
+must be read as an attribute (of anything) somewhere in the package or
+in `bench/harness.py`.  A name that only tests call belongs in
+`tests/util.py`; a name that nothing calls is deleted.
 """
 
 import ast
@@ -75,5 +77,42 @@ def test_every_package_name_is_used_by_the_program():
         f"{module}.{name}"
         for module, name in defined
         if name not in loaded and name not in EXEMPT
+    )
+    assert unused == []
+
+
+def defined_methods():
+    """`(module, class, name)` for each method of a top-level class,
+    dunders aside."""
+    methods = set()
+    for path in modules():
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.ClassDef):
+                methods.update(
+                    (path.stem, node.name, item.name)
+                    for item in node.body
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not (item.name.startswith("__") and item.name.endswith("__"))
+                )
+    return methods
+
+
+def read_attributes():
+    """Every attribute name read in the package modules and the harness,
+    on any object: a method is called or passed on as `x.name`."""
+    return {
+        node.attr
+        for path in [*modules(), HARNESS]
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_every_package_method_is_used_by_the_program():
+    read = read_attributes()
+    unused = sorted(
+        f"{module}.{cls}.{name}"
+        for module, cls, name in defined_methods()
+        if name not in read
     )
     assert unused == []

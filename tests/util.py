@@ -17,11 +17,11 @@ from fslat.automata import (
     _search,
     _subset_edges,
     _trim_product,
-    complement,
     intersect,
     is_empty,
     minimize,
     nullable,
+    pattern_dfa,
     trim,
 )
 from fslat.grammar import GrammarCompileError, _any_star
@@ -417,6 +417,47 @@ def nfa_lattice(cohorts, registry, alphabet):
     return determinize(nfa)
 
 
+def complement(dfa):
+    """Accepts exactly Sigma* minus the input's language, over its own
+    alphabet; trimmed, and so marked trim."""
+    alphabet = dfa.alphabet
+    sigma = alphabet.id_set()
+    n = dfa.n_states
+    sink = n
+    out = []
+    need_sink = False
+    for edges in dfa.transitions:
+        covered = frozenset().union(*(label for label, _ in edges)) if edges else frozenset()
+        rest = sigma - covered
+        new_edges = list(edges)
+        if rest:
+            new_edges.append((rest, sink))
+            need_sink = True
+        out.append(new_edges)
+    states = n
+    if need_sink:
+        out.append(((sigma, sink),))
+        states += 1
+    finals = frozenset(s for s in range(states) if s not in dfa.finals)
+    return trim(Dfa(alphabet, out, finals))
+
+
+def complement_reject(rule, alphabet):
+    """The DFA of the strings with no occurrence of the reject `rule`'s
+    pattern, as the complement of the DFA of sigma* pattern sigma*,
+    minimized.  An oracle for `grammar._compile_reject`, which strikes
+    the DFA of sigma* pattern instead: both must give the same DFA."""
+    occurs = Seq((_any_star(alphabet), rule.pattern, _any_star(alphabet)))
+    return minimize(complement(pattern_dfa(occurs, alphabet)))
+
+
+def extended(alphabet, text):
+    """A new alphabet with `text` as one more symbol.  Every existing
+    symbol keeps its id, so resolved labels carry over; the copy has only
+    the default `CLB` class, and `alphabet` is left as it is."""
+    return Alphabet((*map(alphabet.text_of, range(len(alphabet))), text))
+
+
 _MARK = "\x00mark"
 
 
@@ -461,7 +502,7 @@ def marker_compile(rule, alphabet):
             "occurrence positions would be ill-defined",
             rule.line,
         )
-    scratch = alphabet.extended(_MARK)
+    scratch = extended(alphabet, _MARK)
     mark = scratch.id_of(_MARK)
     base_star = _any_star(alphabet)  # marker-free sigma*
     mark_lit = Syms(frozenset((mark,)))
