@@ -12,9 +12,7 @@ from .automata import (
     Dfa,
     InfiniteLanguageError,
     PatternError,
-    count_paths,
     enumerate_strings,
-    intersect,
     is_empty,
     minimize,
     pattern_dfa,

@@ -171,11 +171,12 @@ class Dfa:
     kernels (`_index`; most automata are never stepped), and the trigger
     set (`_trigger`, see `trigger_symbols`), which only a rule needs.  The
     third is a mark set where the DFA is built: `_trimmed` is true when
-    the builder (`trim`, `minimize`, `reduce_acyclic`, `intersect`,
-    `Chain.dfa`, `pattern_dfa` for a pattern with no empty label, or
-    `lattice.build_lattice` for a lattice whose every cohort has a
-    reading) knows the DFA to be trim and canonically numbered, so
-    `trim` returns it as it is.  A DFA built any other way, by hand, by
+    the builder knows the DFA to be trim and canonically numbered, so
+    `trim` returns it as it is.  The builders that mark are `trim` (and
+    `intersect`, which returns its product through `trim`), `minimize`,
+    `reduce_acyclic`, `Chain.dfa`, `pattern_dfa` for a pattern with no
+    empty label, and `lattice.build_lattice` for a lattice whose every
+    cohort has a reading.  A DFA built any other way, by hand, by
     `expand_blocks` or by `pattern_dfa` for a pattern with an empty label
     or union, is left unmarked, and `trim` trims it."""
 
@@ -344,13 +345,12 @@ def _merge_by_class(edges, cls):
     return [(label, c) for c, label in merged.items()]
 
 
-def _subset_edges(moves, close):
+def _subset_edges(moves):
     """The edges of one state of a subset construction.  `moves` yields
     the `(label, target)` edges of the state's members; each symbol goes
-    to the set of targets its edges reach, `close` turns that set into the
-    target state's key, and symbols with equal keys share one edge.  The
-    subset construction over positions (`_position_dfa`) groups its
-    symbols here.  The cost
+    to the frozenset of targets its edges reach, the target state's key,
+    and symbols with equal keys share one edge.  The subset construction
+    over positions (`_position_dfa`) groups its symbols here.  The cost
     follows the symbols the labels hold, so callers that step wide classes
     pass an alphabet already grouped into blocks (as `grammar.compile_rule`
     does)."""
@@ -364,7 +364,7 @@ def _subset_edges(moves, close):
                 got.add(dst)
     grouped = {}
     for sym, dsts in targets.items():
-        grouped.setdefault(close(dsts), []).append(sym)
+        grouped.setdefault(frozenset(dsts), []).append(sym)
     return [(frozenset(syms), key) for key, syms in grouped.items()]
 
 
@@ -451,7 +451,7 @@ def _position_dfa(alphabet, labels, follow, final):
         reach = frozenset().union(*(follow[p] for p in subset))
         edges = reached.get(reach)
         if edges is None:
-            edges = reached[reach] = _subset_edges(((labels[q], q) for q in reach), frozenset)
+            edges = reached[reach] = _subset_edges((labels[q], q) for q in reach)
         return final(subset), list(edges)  # `_canonical` sorts it in place
 
     return _canonical(alphabet, frozenset((-1,)), expand)
@@ -460,9 +460,9 @@ def _position_dfa(alphabet, labels, follow, final):
 def _search(starts, successors):
     """The set of states reached from `starts` along `successors`, which
     lists each state's next states, depth-first with an explicit stack.
-    The one graph search: `_useful` and `_trim_product` run it back from
-    the final states over `_predecessors`.  No forward search is needed,
-    since `_canonical` only numbers states it reaches from the start."""
+    The one graph search: `_useful` runs it back from the final states
+    over `_predecessors`.  No forward search is needed, since `_canonical`
+    only numbers states it reaches from the start."""
     seen = set(starts)
     stack = list(seen)
     while stack:
@@ -476,8 +476,7 @@ def _search(starts, successors):
 def _predecessors(transitions):
     """Per state of `transitions`, the states with an edge into it (an
     edge with an empty label steps no symbol and is left out).  The one
-    predecessor table: `_useful`, `_trim_product` and `enumerate_strings`
-    read it."""
+    predecessor table: `_useful` and `enumerate_strings` read it."""
     preds = [[] for _ in transitions]
     for src, edges in enumerate(transitions):
         for label, dst in edges:
@@ -489,7 +488,7 @@ def _predecessors(transitions):
 def _useful(dfa):
     """The states from which some final state can be reached.  Reachability
     from the start needs no search of its own: `_canonical` walks from the
-    start, so `_number_useful` numbers only states that are both."""
+    start, so `trim` numbers only states that are both."""
     return _search(dfa.finals, _predecessors(dfa.transitions))
 
 
@@ -520,28 +519,26 @@ def _mark_trimmed(dfa):
     return dfa
 
 
-def _number_useful(alphabet, transitions, finals, useful):
-    """The trim DFA of `transitions` and `finals` (state 0 the start),
-    marked so: the `useful` states that the start reaches, numbered by
-    `_canonical`.  The empty language canonicalizes to a single
-    non-accepting start state.  `trim` and `_trim_product` both end here."""
-    if 0 not in useful:
-        return _mark_trimmed(empty_dfa(alphabet))
-
-    def expand(state):
-        edges = [(label, dst) for label, dst in transitions[state] if dst in useful]
-        return state in finals, edges
-
-    return _mark_trimmed(_canonical(alphabet, 0, expand))
-
-
 def trim(dfa):
-    """Drop states that are unreachable or cannot reach a final state, and
-    renumber the rest in BFS order (`_number_useful`).  The result is
-    marked trim, and a DFA already marked so is returned as it is."""
+    """Drop states that are unreachable or cannot reach a final state: the
+    `_useful` states that the start reaches, numbered by `_canonical`.  The
+    empty language canonicalizes to a single non-accepting start state.
+    The result is marked trim, and a DFA already marked so is returned as
+    it is.  `minimize`, `intersect`, `reduce_acyclic`, `Chain(dfa)` and
+    the readers of a language (`is_empty`, `count_paths`,
+    `enumerate_strings`) start from it."""
     if dfa._trimmed:
         return dfa
-    return _number_useful(dfa.alphabet, dfa.transitions, dfa.finals, _useful(dfa))
+    useful = _useful(dfa)
+    if 0 not in useful:
+        return _mark_trimmed(empty_dfa(dfa.alphabet))
+    transitions = dfa.transitions
+    finals = dfa.finals
+
+    def expand(state):
+        return state in finals, [(label, dst) for label, dst in transitions[state] if dst in useful]
+
+    return _mark_trimmed(_canonical(dfa.alphabet, 0, expand))
 
 
 def minimize(dfa):
@@ -600,15 +597,16 @@ def _moore(index, cls):
 
 def reduce_acyclic(dfa):
     """Merge suffix-equivalent states of an acyclic DFA in one reverse
-    topological pass (linear in states and edges); the result is the
-    minimal DFA, marked trim.  Falls back to `minimize` when a useful
-    cycle exists."""
+    topological pass over `trim(dfa)` (linear in states and edges); the
+    result is the minimal DFA, marked trim.  Raises InfiniteLanguageError
+    for a useful cycle, as `Chain(dfa)` and `count_paths` do; a dead one
+    is trimmed away.  The program reduces with `Chain(dfa)`: this is the
+    reduction the benchmark's traced replay times after each `intersect`,
+    and the tests' reference for `Chain`."""
     d = trim(dfa)
-    if not d.finals:
-        return d
     order = _topological(d)
     if order is None:
-        return minimize(dfa)
+        raise InfiniteLanguageError("automaton accepts an infinite language")
     cls = [0] * d.n_states
     signatures = {}
     classes = []  # (is_final, merged edges) of each class, by class id
@@ -662,49 +660,20 @@ def _product_edges(a, b):
     return edges
 
 
-def _trim_product(alphabet, expand):
-    """The trim product DFA, marked so.  `expand(pair)` returns
-    `(is_final, edges)` for a pair of states, `edges` a dict from target
-    pair to a non-empty label; the start pair is `(0, 0)`.
-
-    The one way a product gets its numbers.  The reachable pairs are
-    listed once, in a plain dict, the useful ones are found by a search
-    (`_search`) back from the final pairs over a predecessor table, and
-    only those are numbered, by `_number_useful` as in `trim`: that gives
-    the same DFA as numbering every reachable pair and trimming the
-    result."""
-    start = (0, 0)
-    index = {start: 0}
-    pairs = [start]
-    out = []  # (label, target number) edges of each pair, by number
-    finals = set()
-    for i, pair in enumerate(pairs):  # `pairs` grows while it is walked
-        final, by_target = expand(pair)
-        if final:
-            finals.add(i)
-        edges = []
-        for target, label in by_target.items():
-            j = index.get(target)
-            if j is None:
-                j = index[target] = len(pairs)
-                pairs.append(target)
-            edges.append((label, j))
-        out.append(edges)
-    return _number_useful(alphabet, out, finals, _search(finals, _predecessors(out)))
-
-
 def intersect(a, b):
-    """Product construction; accepts L(a) & L(b), trimmed to useful states
-    and marked trim (`_trim_product`)."""
+    """Product construction; accepts L(a) & L(b).  The pairs that the
+    start pair `(0, 0)` reaches are numbered by `_canonical`, and `trim`
+    keeps the useful ones, so the result is marked trim."""
     product = _product_edges(a, b)
     a_finals = a.finals
     b_finals = b.finals
 
     def expand(pair):
         sa, sb = pair
-        return sa in a_finals and sb in b_finals, product(sa, sb)
+        edges = [(label, target) for target, label in product(sa, sb).items()]
+        return sa in a_finals and sb in b_finals, edges
 
-    return _trim_product(a.alphabet, expand)
+    return trim(_canonical(a.alphabet, (0, 0), expand))
 
 
 class Chain:

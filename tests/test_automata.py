@@ -201,6 +201,22 @@ class TestMinimize:
             assert language_equal(r, m)
             assert r.n_states == m.n_states
 
+    def test_reduce_acyclic_raises_on_a_useful_cycle(self):
+        # the DFAs of `TestChain.test_dead_cycle_is_trimmed_away`, each once
+        # with a final state on its cycle and once with none
+        alph = Alphabet(["A", "B"])
+        a, b = (frozenset(ids(alph, t)) for t in ("A", "B"))
+        only_b = pattern_dfa(lit(alph, "B"), alph)
+        for transitions, useful_finals, dead_finals in (
+            ([((a, 1), (b, 4)), ((b, 2),), ((a, 3),), ((b, 2),), ()], (4, 3), (4,)),
+            ([((a, 1), (b, 3)), ((b, 2),), ((a, 1),), ()], (3, 2), (3,)),
+        ):
+            with pytest.raises(InfiniteLanguageError):
+                reduce_acyclic(Dfa(alph, transitions, useful_finals))
+            got = reduce_acyclic(Dfa(alph, transitions, dead_finals))
+            assert got._trimmed
+            assert (got.transitions, got.finals) == (only_b.transitions, only_b.finals)
+
 
 class TestComplement:
     def test_involution(self, abc):
@@ -1037,6 +1053,22 @@ def test_property_difference_is_intersect_with_complement(a, b, merge_a, merge_b
     assert dump(got) == dump(want)
     assert (got.transitions, got.finals) == (want.transitions, want.finals)
     assert_canonical(got)
+
+
+#: Every string of at most four symbols over all of `_PROP_ALPHABET`,
+#: boundary symbols included, which `boundary_dfas` step.
+_PROBES_UP_TO_4 = tuple(exhaustive_strings(sorted(_PROP_ALPHABET.id_set()), 4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(dfas(), boundary_dfas), st.one_of(dfas(), boundary_dfas))
+def test_property_intersect_and_difference_accept_by_their_operands(a, b):
+    both = intersect(a, b)
+    a_not_b = difference(a, b)
+    for w in _PROBES_UP_TO_4:
+        in_a, in_b = a.accepts(w), b.accepts(w)
+        assert both.accepts(w) == (in_a and in_b), w
+        assert a_not_b.accepts(w) == (in_a and not in_b), w
 
 
 @settings(max_examples=500, deadline=None)

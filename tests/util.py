@@ -15,8 +15,6 @@ from fslat.automata import (
     _canonical,
     _product_edges,
     _search,
-    _subset_edges,
-    _trim_product,
     intersect,
     is_empty,
     minimize,
@@ -205,8 +203,9 @@ def erase_symbol(dfa, sym):
     """A DFA over the input's alphabet accepting the input's language with
     every occurrence of `sym` deleted.  Subset construction over the
     input's states: each subset is closed under the edges whose label holds
-    `sym`, and its edges step every other symbol.  The closures are
-    memoized by the set they close."""
+    `sym`, and its edges step every other symbol, symbols with the same
+    target closure sharing one edge.  The closures are memoized by the set
+    they close."""
     erased = [[dst for label, dst in edges if sym in label] for edges in dfa.transitions]
     stepped = [
         [(label - {sym} if sym in label else label, dst) for label, dst in edges]
@@ -222,7 +221,15 @@ def erase_symbol(dfa, sym):
         return got
 
     def expand(subset):
-        edges = _subset_edges((edge for s in subset for edge in stepped[s]), closure)
+        moves = {}
+        for state in subset:
+            for label, dst in stepped[state]:
+                for other in label:
+                    moves.setdefault(other, set()).add(dst)
+        grouped = {}
+        for other, dsts in moves.items():
+            grouped.setdefault(closure(dsts), []).append(other)
+        edges = [(frozenset(syms), target) for target, syms in grouped.items()]
         return not dfa.finals.isdisjoint(subset), edges
 
     return _canonical(dfa.alphabet, closure((0,)), expand)
@@ -462,8 +469,9 @@ _MARK = "\x00mark"
 
 
 def difference(a, b):
-    """Product construction; accepts L(a) - L(b), trimmed to useful states
-    and marked trim (`_trim_product`).  A symbol that `b` cannot step
+    """Product construction; accepts L(a) - L(b).  Numbered and trimmed as
+    `automata.intersect` is: `trim` of the pairs `_canonical` reaches from
+    `(0, 0)`, so the result is marked trim.  A symbol that `b` cannot step
     leaves `b` for good: the pair's second state becomes None, and from
     there only `a` is followed.  One product in place of
     `intersect(a, complement(b))`, with the same result."""
@@ -485,9 +493,10 @@ def difference(a, b):
                 key = (da, None)
                 got = by_target.get(key)
                 by_target[key] = rest if got is None else got | rest
-        return sa in a_finals and sb not in b_finals, by_target
+        edges = [(label, target) for target, label in by_target.items()]
+        return sa in a_finals and sb not in b_finals, edges
 
-    return _trim_product(a.alphabet, expand)
+    return trim(_canonical(a.alphabet, (0, 0), expand))
 
 
 def marker_compile(rule, alphabet):
